@@ -1,11 +1,11 @@
 """Command-line entry point.
 
-Every subcommand loads its inputs, computes a result payload, writes any
-side outputs (tables, stacks, CSV files), and finally writes a JSON report
-that echoes the full configuration, the seed, and a digest of every input
-file, so any run can be reproduced from its own report. The report goes to
---report when given, to stdout otherwise; exit status is 0 exactly when the
-full report was written.
+Every subcommand handler loads its inputs, writes any side outputs (tables,
+stacks, CSV files) and returns its result payload; `main` then writes one
+JSON report that echoes the full configuration, the seed, and a digest of
+every input file named by a flag in INPUT_FLAGS, so any run can be
+reproduced from its own report. The report goes to --report when given, to
+stdout otherwise; exit status is 0 exactly when the full report was written.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 Relative input paths are also tried under $GGSIGNAL_DATA when they do not
@@ -23,18 +23,20 @@ import sys
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .association import PermutationConfig, sc_weat, weat
 from .classifier import TrainConfig
-from .disentangler import DisentangleConfig, run as run_disentangle, save_stack
-from .embeddings import EmbeddingTable, load_table, save_table
+from .disentangler import (DisentangleConfig, HyperplaneStack, run as run_disentangle,
+                           save_stack)
+from .embeddings import EmbeddingTable, atomic_open, load_table, save_table
 from .errors import DataError, NumericError, PipelineError
 from .evaluations import (GgWeatSpec, build_gg_targets, gg_weat, analogy_accuracy,
                           pairwise_gap, principal_coordinates, sc_gg_sweep, valnorm)
-from .lexicon import (balanced_sample, load_analogies, load_gender_lexicon,
-                      load_similarity_pairs, load_stimuli, load_valence_norms,
-                      require_sets)
+from .lexicon import (GenderLexicon, StimulusSet, balanced_sample, load_analogies,
+                      load_gender_lexicon, load_similarity_pairs, load_stimuli,
+                      load_valence_norms, require_sets)
 from .seeding import derive_seed
 from .synthetic import SynthConfig, generate
 
@@ -76,15 +78,22 @@ def _digest(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _atomic_write_text(path, text: str) -> None:
+    with atomic_open(path) as handle:
+        handle.write(text)
 
 
-def _write_report(args, argv: list[str], results: dict, inputs: list[Path]) -> None:
+# Flags that name a file a command reads: the report digests each one given.
+INPUT_FLAGS = ("embeddings", "before", "after", "raw", "disentangled", "english",
+               "lexicon", "animacy", "pairs", "pairs_gendered", "pairs_english",
+               "norms", "questions", "stimuli")
+
+
+def _write_report(args, argv: list[str], results: dict) -> None:
     config = {k: (str(v) if isinstance(v, Path) else v)
               for k, v in vars(args).items() if k not in ("handler",)}
+    inputs = [_resolve(getattr(args, flag)) for flag in INPUT_FLAGS
+              if getattr(args, flag, None) is not None]
     report = {
         "command": args.command,
         "version": __version__,
@@ -98,7 +107,7 @@ def _write_report(args, argv: list[str], results: dict, inputs: list[Path]) -> N
     if args.report is None:
         sys.stdout.write(text)
     else:
-        _atomic_write_text(Path(args.report), text)
+        _atomic_write_text(args.report, text)
         log.info("report written to %s", args.report)
 
 
@@ -106,12 +115,20 @@ def _default_stimuli_path() -> Path:
     return Path(str(resources.files("ggsignal").joinpath("data/stimuli_weat.txt")))
 
 
-def _load_embeddings(path: Path, vocab_limit: int | None,
-                     required: list[str]) -> EmbeddingTable:
+def _table(args, flag: str, required: list[str]) -> EmbeddingTable:
     # With a vocabulary cutoff, words the command is about to test must stay
     # loadable even when ranked below the cutoff.
-    return load_table(path, vocab_limit=vocab_limit,
-                      required_words=required if vocab_limit else None)
+    return load_table(_resolve(getattr(args, flag)), vocab_limit=args.vocab_limit,
+                      required_words=required if args.vocab_limit else None)
+
+
+def _lexicon(args) -> GenderLexicon:
+    return load_gender_lexicon(_resolve(args.lexicon), _resolve(args.animacy),
+                               language=args.language)
+
+
+def _stimulus_sets(args, *keys: str) -> list[StimulusSet]:
+    return require_sets(load_stimuli(_resolve(args.stimuli)), *keys)
 
 
 def _perm_config(args) -> PermutationConfig:
@@ -119,11 +136,10 @@ def _perm_config(args) -> PermutationConfig:
                              seed=args.seed)
 
 
-def _add_table_args(parser: _Parser, paired: bool = True) -> None:
+def _add_table_args(parser: _Parser) -> None:
     parser.add_argument("--embeddings", help="single table to evaluate")
-    if paired:
-        parser.add_argument("--before", help="table before disentanglement")
-        parser.add_argument("--after", help="table after disentanglement")
+    parser.add_argument("--before", help="table before disentanglement")
+    parser.add_argument("--after", help="table after disentanglement")
     parser.add_argument("--vocab-limit", type=int, default=None,
                         help="keep only the first N vocabulary entries (test words "
                              "are force-loaded); recorded in the report")
@@ -134,6 +150,10 @@ def _add_perm_args(parser: _Parser) -> None:
                         help="Monte Carlo sample count when enumeration is infeasible")
     parser.add_argument("--exact-limit", type=int, default=200_000,
                         help="max partition count for exact enumeration")
+    _add_set_args(parser)
+
+
+def _add_set_args(parser: _Parser) -> None:
     parser.add_argument("--min-set-size", type=int, default=8,
                         help="minimum usable words per set (default 8)")
     parser.add_argument("--on-missing", choices=("error", "drop"), default="error",
@@ -142,47 +162,34 @@ def _add_perm_args(parser: _Parser) -> None:
                         help="randomly trim the larger target set instead of erroring")
 
 
-def _table_conditions(args, required: list[str]) -> dict[str, EmbeddingTable]:
-    """Map of condition name -> table, from --embeddings or --before/--after."""
+def _set_options(args) -> dict:
+    return {"on_missing": args.on_missing, "min_words": args.min_set_size,
+            "trim_to_equal": args.trim_to_equal}
+
+
+def _per_condition(args, required: list[str], measure: Callable[[EmbeddingTable], dict],
+                   key: str = "effect_size") -> dict:
+    """`measure` of the --embeddings table, or of --before and --after plus
+    the after-minus-before delta of `key`."""
     have_single = args.embeddings is not None
-    have_pair = getattr(args, "before", None) is not None or getattr(args, "after", None) is not None
+    have_pair = args.before is not None or args.after is not None
     if have_single == have_pair:
         raise UsageError("give either --embeddings or both --before and --after")
     if have_single:
-        return {"table": _load_embeddings(_resolve(args.embeddings), args.vocab_limit, required)}
+        return {"table": measure(_table(args, "embeddings", required))}
     if args.before is None or args.after is None:
         raise UsageError("--before and --after must be given together")
-    return {
-        "before": _load_embeddings(_resolve(args.before), args.vocab_limit, required),
-        "after": _load_embeddings(_resolve(args.after), args.vocab_limit, required),
-    }
-
-
-def _condition_paths(args) -> list[Path]:
-    paths = []
-    for name in ("embeddings", "before", "after"):
-        value = getattr(args, name, None)
-        if value is not None:
-            paths.append(_resolve(value))
-    return paths
-
-
-def _with_delta(per_condition: dict[str, dict], key: str = "effect_size") -> dict:
-    results = dict(per_condition)
-    if "before" in per_condition and "after" in per_condition:
-        results["delta"] = {key: per_condition["after"][key] - per_condition["before"][key]}
+    tables = {name: _table(args, name, required) for name in ("before", "after")}
+    results = {name: measure(table) for name, table in tables.items()}
+    results["delta"] = {key: results["after"][key] - results["before"][key]}
     return results
 
 
 # ---------------------------------------------------------------- disentangle
 
-def _cmd_disentangle(args, argv: list[str]) -> None:
-    lexicon_path = _resolve(args.lexicon)
-    animacy_path = _resolve(args.animacy)
-    lexicon = load_gender_lexicon(lexicon_path, animacy_path, language=args.language)
-    table_path = _resolve(args.embeddings)
-    table = _load_embeddings(table_path, args.vocab_limit,
-                             list(lexicon.feminine + lexicon.masculine))
+def _cmd_disentangle(args) -> dict:
+    lexicon = _lexicon(args)
+    table = _table(args, "embeddings", list(lexicon.feminine + lexicon.masculine))
     config = DisentangleConfig(
         max_iterations=args.iterations,
         stop_accuracy=args.stop_accuracy,
@@ -216,163 +223,105 @@ def _cmd_disentangle(args, argv: list[str]) -> None:
     if args.out_stack:
         save_stack(stack, args.out_stack)
         results["out_stack"] = args.out_stack
-    inputs = [table_path, lexicon_path] + ([animacy_path] if animacy_path else [])
-    _write_report(args, argv, results, inputs)
+    return results
 
 
 # ------------------------------------------------------------- measurements
 
-def _stimuli_path(args) -> Path:
-    return _resolve(args.stimuli) if args.stimuli else _default_stimuli_path()
-
-
-def _cmd_weat(args, argv: list[str]) -> None:
-    stimuli_path = _stimuli_path(args)
-    stimuli = load_stimuli(stimuli_path)
-    x_set, y_set, a_set, b_set = require_sets(
-        stimuli, args.targets_x, args.targets_y, args.attributes_a, args.attributes_b)
+def _cmd_weat(args) -> dict:
+    x_set, y_set, a_set, b_set = _stimulus_sets(
+        args, args.targets_x, args.targets_y, args.attributes_a, args.attributes_b)
     required = [*x_set.words, *y_set.words, *a_set.words, *b_set.words]
-    tables = _table_conditions(args, required)
-    per_condition = {}
-    for name, table in tables.items():
-        result = weat(x_set, y_set, a_set, b_set, table, _perm_config(args),
-                      on_missing=args.on_missing, min_words=args.min_set_size,
-                      trim_to_equal=args.trim_to_equal)
-        per_condition[name] = result.to_json()
-    results = {
+    return {
         "sets": {"targets_x": args.targets_x, "targets_y": args.targets_y,
                  "attributes_a": args.attributes_a, "attributes_b": args.attributes_b},
-        **_with_delta(per_condition),
+        **_per_condition(args, required, lambda table: weat(
+            x_set, y_set, a_set, b_set, table, _perm_config(args),
+            **_set_options(args)).to_json()),
     }
-    _write_report(args, argv, results, [stimuli_path] + _condition_paths(args))
 
 
-def _cmd_sc_weat(args, argv: list[str]) -> None:
-    stimuli_path = _stimuli_path(args)
-    stimuli = load_stimuli(stimuli_path)
-    a_set, b_set = require_sets(stimuli, args.attributes_a, args.attributes_b)
-    required = [args.word, *a_set.words, *b_set.words]
-    tables = _table_conditions(args, required)
-    per_condition = {}
-    for name, table in tables.items():
-        result = sc_weat(args.word, a_set, b_set, table, _perm_config(args),
-                         on_missing=args.on_missing, min_words=args.min_set_size,
-                         trim_to_equal=args.trim_to_equal)
-        per_condition[name] = result.to_json()
-    results = {
+def _cmd_sc_weat(args) -> dict:
+    a_set, b_set = _stimulus_sets(args, args.attributes_a, args.attributes_b)
+    return {
         "word": args.word,
         "sets": {"attributes_a": args.attributes_a, "attributes_b": args.attributes_b},
-        **_with_delta(per_condition),
+        **_per_condition(args, [args.word, *a_set.words, *b_set.words], lambda table: sc_weat(
+            args.word, a_set, b_set, table, _perm_config(args), **_set_options(args)).to_json()),
     }
-    _write_report(args, argv, results, [stimuli_path] + _condition_paths(args))
 
 
-def _cmd_gg_weat(args, argv: list[str]) -> None:
-    pairs_path = _resolve(args.pairs)
-    lexicon_path = _resolve(args.lexicon)
-    animacy_path = _resolve(args.animacy)
-    stimuli_path = _stimuli_path(args)
-    pairs = load_similarity_pairs(pairs_path)
-    lexicon = load_gender_lexicon(lexicon_path, animacy_path, language=args.language)
-    stimuli = load_stimuli(stimuli_path)
-    a_set, b_set = require_sets(stimuli, args.attributes_a, args.attributes_b)
+def _cmd_gg_weat(args) -> dict:
+    pairs = load_similarity_pairs(_resolve(args.pairs))
+    lexicon = _lexicon(args)
+    a_set, b_set = _stimulus_sets(args, args.attributes_a, args.attributes_b)
     fem_targets, masc_targets = build_gg_targets(pairs, lexicon, args.min_score,
                                                  args.max_per_set)
     spec = GgWeatSpec(fem_targets, masc_targets, a_set, b_set)
     required = [*fem_targets.words, *masc_targets.words, *a_set.words, *b_set.words]
-    tables = _table_conditions(args, required)
-    per_condition = {}
-    for name, table in tables.items():
-        result = gg_weat(spec, table, _perm_config(args), on_missing=args.on_missing,
-                         min_words=args.min_set_size, trim_to_equal=args.trim_to_equal)
-        per_condition[name] = result.to_json()
-    results = {
+    return {
         "min_score": args.min_score,
         "feminine_targets": list(fem_targets.words),
         "masculine_targets": list(masc_targets.words),
         "attributes": {"feminine": args.attributes_a, "masculine": args.attributes_b},
-        **_with_delta(per_condition),
+        **_per_condition(args, required, lambda table: gg_weat(
+            spec, table, _perm_config(args), **_set_options(args)).to_json()),
     }
-    inputs = [pairs_path, lexicon_path, stimuli_path] + \
-        ([animacy_path] if animacy_path else []) + _condition_paths(args)
-    _write_report(args, argv, results, inputs)
 
 
-def _cmd_valnorm(args, argv: list[str]) -> None:
-    norms_path = _resolve(args.norms)
-    stimuli_path = _stimuli_path(args)
-    norms = load_valence_norms(norms_path)
-    stimuli = load_stimuli(stimuli_path)
-    pleasant, unpleasant = require_sets(stimuli, args.pleasant, args.unpleasant)
+def _cmd_valnorm(args) -> dict:
+    norms = load_valence_norms(_resolve(args.norms))
+    pleasant, unpleasant = _stimulus_sets(args, args.pleasant, args.unpleasant)
     required = [n.word for n in norms] + [*pleasant.words, *unpleasant.words]
-    tables = _table_conditions(args, required)
-    per_condition = {}
-    for name, table in tables.items():
+
+    def measure(table):
         r, n_used = valnorm(norms, pleasant, unpleasant, table,
                             on_missing=args.on_missing, min_words=args.min_set_size)
-        per_condition[name] = {"pearson_r": r, "n_used": n_used}
-    results = {
+        return {"pearson_r": r, "n_used": n_used}
+
+    return {
         "sets": {"pleasant": args.pleasant, "unpleasant": args.unpleasant},
         "n_norm_words": len(norms),
-        **_with_delta(per_condition, key="pearson_r"),
+        **_per_condition(args, required, measure, key="pearson_r"),
     }
-    _write_report(args, argv, results, [norms_path, stimuli_path] + _condition_paths(args))
 
 
-def _cmd_analogy(args, argv: list[str]) -> None:
-    questions_path = _resolve(args.questions)
-    questions = load_analogies(questions_path)
+def _cmd_analogy(args) -> dict:
+    questions = load_analogies(_resolve(args.questions))
     sections = set(args.sections.split(",")) if args.sections else None
     pool = [q for q in questions if sections is None or q.section in sections]
     required = sorted({w for q in pool for w in (q.a, q.b, q.c, q.d)})
-    tables = _table_conditions(args, required)
-    per_condition = {}
-    for name, table in tables.items():
+
+    def measure(table):
         acc, n = analogy_accuracy(questions, table, sections)
-        per_condition[name] = {"accuracy": acc, "n_attempted": n,
-                               "n_questions": len(pool)}
-    results = {
+        return {"accuracy": acc, "n_attempted": n, "n_questions": len(pool)}
+
+    return {
         "sections": sorted(sections) if sections else None,
-        **_with_delta(per_condition, key="accuracy"),
+        **_per_condition(args, required, measure, key="accuracy"),
     }
-    _write_report(args, argv, results, [questions_path] + _condition_paths(args))
 
 
-def _cmd_pairdist(args, argv: list[str]) -> None:
-    gendered_path = _resolve(args.pairs_gendered)
-    english_path = _resolve(args.pairs_english)
-    lexicon_path = _resolve(args.lexicon)
-    animacy_path = _resolve(args.animacy)
-    pairs_gendered = load_similarity_pairs(gendered_path)
-    pairs_english = load_similarity_pairs(english_path)
-    lexicon = load_gender_lexicon(lexicon_path, animacy_path, language=args.language)
+def _cmd_pairdist(args) -> dict:
+    pairs_gendered = load_similarity_pairs(_resolve(args.pairs_gendered))
+    pairs_english = load_similarity_pairs(_resolve(args.pairs_english))
+    lexicon = _lexicon(args)
     gendered_words = [w for p in pairs_gendered for w in (p.word_a, p.word_b)]
     english_words = [w for p in pairs_english for w in (p.word_a, p.word_b)]
-    raw_path, dis_path, en_path = (_resolve(args.raw), _resolve(args.disentangled),
-                                   _resolve(args.english))
-    table_raw = _load_embeddings(raw_path, args.vocab_limit, gendered_words)
-    table_dis = _load_embeddings(dis_path, args.vocab_limit, gendered_words)
-    table_en = _load_embeddings(en_path, args.vocab_limit, english_words)
-    gap = pairwise_gap(pairs_gendered, pairs_english, lexicon,
-                       table_raw, table_dis, table_en)
-    inputs = [gendered_path, english_path, lexicon_path, raw_path, dis_path, en_path]
-    if animacy_path:
-        inputs.append(animacy_path)
-    _write_report(args, argv, gap.to_json(), inputs)
+    table_raw = _table(args, "raw", gendered_words)
+    table_dis = _table(args, "disentangled", gendered_words)
+    table_en = _table(args, "english", english_words)
+    return pairwise_gap(pairs_gendered, pairs_english, lexicon,
+                        table_raw, table_dis, table_en).to_json()
 
 
-def _cmd_sweep(args, argv: list[str]) -> None:
-    lexicon_path = _resolve(args.lexicon)
-    animacy_path = _resolve(args.animacy)
-    stimuli_path = _stimuli_path(args)
-    lexicon = load_gender_lexicon(lexicon_path, animacy_path, language=args.language)
-    stimuli = load_stimuli(stimuli_path)
-    fem_attrs, masc_attrs = require_sets(stimuli, args.attributes_f, args.attributes_m)
+def _cmd_sweep(args) -> dict:
+    lexicon = _lexicon(args)
+    fem_attrs, masc_attrs = _stimulus_sets(args, args.attributes_f, args.attributes_m)
     required = list(lexicon.feminine + lexicon.masculine) + \
         [*fem_attrs.words, *masc_attrs.words]
-    before_path, after_path = _resolve(args.before), _resolve(args.after)
-    table_before = _load_embeddings(before_path, args.vocab_limit, required)
-    table_after = _load_embeddings(after_path, args.vocab_limit, required)
+    table_before = _table(args, "before", required)
+    table_after = _table(args, "after", required)
 
     shared = set(table_before.words) & set(table_after.words)
     usable = lexicon.restricted_to(shared)
@@ -394,14 +343,12 @@ def _cmd_sweep(args, argv: list[str]) -> None:
         for r in sweep.records:
             lines.append(f"{r.word},{r.gender},{r.d_before!r},{r.d_after!r},"
                          f"{int(r.weakened)},{int(r.weakened_loose)}")
-        _atomic_write_text(Path(args.out_csv), "\n".join(lines) + "\n")
+        _atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
         results["out_csv"] = args.out_csv
-    inputs = [lexicon_path, stimuli_path, before_path, after_path] + \
-        ([animacy_path] if animacy_path else [])
-    _write_report(args, argv, results, inputs)
+    return results
 
 
-def _cmd_synth(args, argv: list[str]) -> None:
+def _cmd_synth(args) -> dict:
     config = SynthConfig(dimension=args.dimension, per_class=args.per_class,
                          signal_strength=args.signal, noise_scale=args.noise,
                          class_imbalance=args.imbalance,
@@ -420,23 +367,17 @@ def _cmd_synth(args, argv: list[str]) -> None:
     if args.out_lexicon:
         lines = [f"{w}\tF" for w in lexicon.feminine] + \
                 [f"{w}\tM" for w in lexicon.masculine]
-        _atomic_write_text(Path(args.out_lexicon), "\n".join(lines) + "\n")
+        _atomic_write_text(args.out_lexicon, "\n".join(lines) + "\n")
         results["out_lexicon"] = args.out_lexicon
     if args.out_direction:
-        header = f"1 {table.dimension}\n"
-        row = " ".join("%.17g" % v for v in direction)
-        _atomic_write_text(Path(args.out_direction), header + row + "\n")
+        save_stack(HyperplaneStack(directions=direction.reshape(1, -1)), args.out_direction)
         results["out_direction"] = args.out_direction
-    _write_report(args, argv, results, [])
+    return results
 
 
-def _cmd_pca_coords(args, argv: list[str]) -> None:
-    lexicon_path = _resolve(args.lexicon)
-    animacy_path = _resolve(args.animacy)
-    lexicon = load_gender_lexicon(lexicon_path, animacy_path, language=args.language)
-    table_path = _resolve(args.embeddings)
-    table = _load_embeddings(table_path, args.vocab_limit,
-                             list(lexicon.feminine + lexicon.masculine))
+def _cmd_pca_coords(args) -> dict:
+    lexicon = _lexicon(args)
+    table = _table(args, "embeddings", list(lexicon.feminine + lexicon.masculine))
     usable = lexicon.restricted_to(table.words)
     per_gender = min(args.per_gender, len(usable.feminine), len(usable.masculine))
     fem_words, masc_words = balanced_sample(usable, per_gender,
@@ -447,10 +388,8 @@ def _cmd_pca_coords(args, argv: list[str]) -> None:
     lines = ["word,gender,pc1,pc2"]
     for word, gender, (pc1, pc2) in zip(words, genders, coords):
         lines.append(f"{word},{gender},{float(pc1)!r},{float(pc2)!r}")
-    _atomic_write_text(Path(args.out_csv), "\n".join(lines) + "\n")
-    results = {"n_words": len(words), "per_gender": per_gender, "out_csv": args.out_csv}
-    inputs = [table_path, lexicon_path] + ([animacy_path] if animacy_path else [])
-    _write_report(args, argv, results, inputs)
+    _atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
+    return {"n_words": len(words), "per_gender": per_gender, "out_csv": args.out_csv}
 
 
 # ------------------------------------------------------------------- parser
@@ -460,6 +399,7 @@ def build_parser() -> _Parser:
                      description="Disentangle grammatical-gender signals from word "
                                  "embeddings and measure gender associations")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    stimuli = str(_default_stimuli_path())
 
     def common(p: _Parser) -> None:
         p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
@@ -485,7 +425,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_disentangle)
 
     p = sub.add_parser("weat", help="two-target association test")
-    p.add_argument("--stimuli", help="stimulus file (packaged default)")
+    p.add_argument("--stimuli", default=stimuli, help="stimulus file (packaged default)")
     p.add_argument("--targets-x", required=True)
     p.add_argument("--targets-y", required=True)
     p.add_argument("--attributes-a", required=True)
@@ -496,7 +436,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_weat)
 
     p = sub.add_parser("sc-weat", help="single-word association test")
-    p.add_argument("--stimuli")
+    p.add_argument("--stimuli", default=stimuli)
     p.add_argument("--word", required=True)
     p.add_argument("--attributes-a", required=True)
     p.add_argument("--attributes-b", required=True)
@@ -510,7 +450,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pairs", required=True, help="similarity pair TSV with genders")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--animacy")
-    p.add_argument("--stimuli")
+    p.add_argument("--stimuli", default=stimuli)
     p.add_argument("--attributes-a", required=True, help="semantically feminine set key")
     p.add_argument("--attributes-b", required=True, help="semantically masculine set key")
     p.add_argument("--min-score", type=float, default=6.0,
@@ -523,11 +463,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("valnorm", help="valence-norm correlation")
     p.add_argument("--norms", required=True, help="valence TSV (word<TAB>score)")
-    p.add_argument("--stimuli")
+    p.add_argument("--stimuli", default=stimuli)
     p.add_argument("--pleasant", required=True)
     p.add_argument("--unpleasant", required=True)
     _add_table_args(p)
-    _add_perm_args(p)
+    _add_set_args(p)
     common(p)
     p.set_defaults(handler=_cmd_valnorm)
 
@@ -553,7 +493,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="per-word association sweep before/after")
     p.add_argument("--lexicon", required=True)
     p.add_argument("--animacy")
-    p.add_argument("--stimuli")
+    p.add_argument("--stimuli", default=stimuli)
     p.add_argument("--attributes-f", required=True, help="semantically feminine set key")
     p.add_argument("--attributes-m", required=True, help="semantically masculine set key")
     p.add_argument("--per-gender", type=int, default=2000)
@@ -561,7 +501,7 @@ def build_parser() -> _Parser:
     p.add_argument("--after", required=True)
     p.add_argument("--vocab-limit", type=int, default=None)
     p.add_argument("--out-csv")
-    _add_perm_args(p)
+    _add_set_args(p)
     common(p)
     p.set_defaults(handler=_cmd_sweep)
 
@@ -605,7 +545,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        args.handler(args, argv)
+        _write_report(args, argv, args.handler(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

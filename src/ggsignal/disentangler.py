@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import TrainConfig, decision_direction, train
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, _parse_header, atomic_open
 from .errors import DataError, FormatError
 from .lexicon import GenderLexicon, balanced_sample
 
@@ -84,6 +84,8 @@ class HyperplaneStack:
         directions = np.asarray(self.directions, dtype=np.float64)
         if directions.ndim != 2:
             raise ValueError("directions must be a (count, dimension) array")
+        if not np.all(np.isfinite(directions)):
+            raise ValueError("stack directions must be finite")
         if directions.shape[0]:
             norms = np.linalg.norm(directions, axis=1)
             if np.any(np.abs(norms - 1.0) > 1e-9):
@@ -214,8 +216,7 @@ def apply_stack(table: EmbeddingTable, stack: HyperplaneStack) -> EmbeddingTable
 def save_stack(stack: HyperplaneStack, path) -> None:
     """Write directions as text: header '<count> <dimension>', one direction
     per line, full float64 precision so round-trips are exact."""
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         handle.write(f"{len(stack)} {stack.dimension}\n")
         for row in stack.directions:
             handle.write(" ".join("%.17g" % v for v in row) + "\n")
@@ -224,13 +225,7 @@ def save_stack(stack: HyperplaneStack, path) -> None:
 def load_stack(path) -> HyperplaneStack:
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
-        header = handle.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"{path}: malformed stack header")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise FormatError(f"{path}: non-integer stack header") from None
+        count, dim = _parse_header(handle.readline().rstrip("\r\n"), path, min_count=0)
         rows = []
         for lineno, line in enumerate(handle, start=2):
             if not line.strip():
@@ -238,7 +233,10 @@ def load_stack(path) -> HyperplaneStack:
             values = line.split()
             if len(values) != dim:
                 raise FormatError(f"{path}:{lineno}: expected {dim} values")
-            rows.append(np.asarray(values, dtype=np.float64))
+            try:
+                rows.append(np.asarray(values, dtype=np.float64))
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-numeric value") from None
     if len(rows) != count:
         raise FormatError(f"{path}: header promises {count} directions, found {len(rows)}")
     directions = np.vstack(rows) if rows else np.zeros((0, dim))

@@ -4,14 +4,18 @@ The on-disk format is the plain text vector format: a header line
 ``<count> <dimension>`` followed by one ``<word> v1 ... vD`` line per word,
 UTF-8, space separated. Vectors are stored exactly as loaded; nothing is
 pre-normalized, because the projection step operates on raw vectors and
-cosine normalizes on the fly.
+cosine normalizes on the fly. Every output file of the package is written
+through `atomic_open`, so an interrupted write never leaves a partial file
+under the final name.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+import os
+import uuid
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,12 +28,6 @@ log = logging.getLogger(__name__)
 # Serialization precision for save_table: six significant digits, the common
 # precision of public vector files. Round-tripping preserves cosines to ~1e-6.
 _SAVE_FORMAT = "%.6g"
-
-
-@dataclass(frozen=True)
-class WordVector:
-    word: str
-    values: np.ndarray
 
 
 class EmbeddingTable:
@@ -79,21 +77,12 @@ class EmbeddingTable:
     def __contains__(self, word: str) -> bool:
         return word in self._index
 
-    def vector(self, word: str, lowercase_fallback: bool = False) -> np.ndarray:
-        """Vector for `word`. Lookup is case-sensitive by default.
-
-        `lowercase_fallback=True` retries `word.lower()` when the exact form
-        is absent; off by default because stimuli are case-sensitive.
-        """
+    def vector(self, word: str) -> np.ndarray:
+        """Vector for `word`. Lookup is case-sensitive, as stimuli are."""
         i = self._index.get(word)
-        if i is None and lowercase_fallback:
-            i = self._index.get(word.lower())
         if i is None:
             raise MissingWordsError("vector lookup", [word])
         return self._matrix[i]
-
-    def word_vector(self, word: str) -> WordVector:
-        return WordVector(word, self.vector(word))
 
     def missing(self, words: Iterable[str]) -> list[str]:
         """Subsequence of `words` that have no entry, original order kept."""
@@ -106,14 +95,9 @@ class EmbeddingTable:
             raise MissingWordsError("row gather", absent)
         return self._matrix[[self._index[w] for w in words]]
 
-    def zero_norm_words(self, words: Sequence[str] | None = None) -> list[str]:
+    def zero_norm_words(self) -> list[str]:
         """Words whose vector is all-zero (e.g. annihilated by projection)."""
-        pool = self._words if words is None else words
-        out = []
-        for w in pool:
-            if w in self._index and not np.any(self._matrix[self._index[w]]):
-                out.append(w)
-        return out
+        return [w for i, w in enumerate(self._words) if not np.any(self._matrix[i])]
 
     def with_matrix(self, matrix: np.ndarray) -> "EmbeddingTable":
         """Same vocabulary over a replacement matrix (bulk transform result)."""
@@ -121,23 +105,22 @@ class EmbeddingTable:
 
 
 def cosine(a, b) -> float:
-    """Cosine similarity of two vectors (WordVector or array-like).
+    """Cosine similarity of two array-like vectors.
 
     Raises ZeroVectorError for an all-zero argument: a zero norm signals a
     word annihilated by projection and must not pass silently as 0.0.
     """
-    va = np.asarray(a.values if isinstance(a, WordVector) else a, dtype=np.float64)
-    vb = np.asarray(b.values if isinstance(b, WordVector) else b, dtype=np.float64)
+    va = np.asarray(a, dtype=np.float64)
+    vb = np.asarray(b, dtype=np.float64)
     na = math.sqrt(float(va @ va))
     nb = math.sqrt(float(vb @ vb))
     if na == 0.0 or nb == 0.0:
-        which = a.word if isinstance(a, WordVector) and na == 0.0 else (
-            b.word if isinstance(b, WordVector) and nb == 0.0 else "input")
-        raise ZeroVectorError(f"zero-norm vector in cosine ({which})")
+        raise ZeroVectorError("zero-norm vector in cosine")
     return float(va @ vb) / (na * nb)
 
 
-def _parse_header(line: str, path: Path) -> tuple[int, int]:
+def _parse_header(line: str, path: Path, min_count: int = 1) -> tuple[int, int]:
+    """`<count> <dimension>` of a text vector or stack file."""
     parts = line.split()
     if len(parts) != 2:
         raise FormatError(f"{path}: malformed header {line!r}, expected '<count> <dimension>'")
@@ -145,9 +128,30 @@ def _parse_header(line: str, path: Path) -> tuple[int, int]:
         count, dim = int(parts[0]), int(parts[1])
     except ValueError:
         raise FormatError(f"{path}: non-integer header {line!r}") from None
-    if count <= 0 or dim <= 0:
-        raise FormatError(f"{path}: header must be positive, got {line!r}")
+    if count < min_count or dim <= 0:
+        raise FormatError(f"{path}: header needs count >= {min_count} and a positive "
+                          f"dimension, got {line!r}")
     return count, dim
+
+
+@contextmanager
+def atomic_open(path):
+    """Text handle whose content replaces `path` only when the block completes.
+
+    Writes go to a temporary file with a unique name beside `path`, so
+    concurrent writers never share one; it is renamed over `path` on success
+    and deleted on any exception.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def load_table(path, vocab_limit: int | None = None,
@@ -216,8 +220,7 @@ def save_table(table: EmbeddingTable, path) -> None:
     Values carry six significant digits; load(save(t)) reproduces the
     vocabulary exactly and every cosine similarity within 1e-5.
     """
-    path = Path(path)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         handle.write(f"{len(table)} {table.dimension}\n")
         matrix = table.matrix
         for i, word in enumerate(table.words):

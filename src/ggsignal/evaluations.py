@@ -16,7 +16,7 @@ import numpy as np
 
 from .association import (AssociationResult, PermutationConfig, sc_effect_sizes,
                           weat, _resolve_set)
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, cosine
 from .errors import DataError, MissingWordsError, NumericError
 from .lexicon import (FEMININE, MASCULINE, MIN_SET_WORDS, AnalogyQuestion,
                       GenderLexicon, SimilarityPair, StimulusSet, ValenceNorm)
@@ -367,9 +367,10 @@ def pairwise_gap(pairs_gendered: list[SimilarityPair], pairs_english: list[Simil
         if not words_ok:
             skipped += 1
             continue
-        raw = _cos(table_raw, gendered.word_a, gendered.word_b)
-        dis = _cos(table_disentangled, gendered.word_a, gendered.word_b)
-        eng = _cos(table_english, english.word_a, english.word_b)
+        raw = cosine(table_raw.vector(gendered.word_a), table_raw.vector(gendered.word_b))
+        dis = cosine(table_disentangled.vector(gendered.word_a),
+                     table_disentangled.vector(gendered.word_b))
+        eng = cosine(table_english.vector(english.word_a), table_english.vector(english.word_b))
         if gender_a == gender_b:
             same_raw.append(raw)
             same_dis.append(dis)
@@ -399,12 +400,6 @@ def pairwise_gap(pairs_gendered: list[SimilarityPair], pairs_english: list[Simil
         avg_same_english=float(np.mean(same_en)), avg_diff_english=float(np.mean(diff_en)),
         gap_raw=gap_raw, gap_disentangled=gap_dis, gap_english=gap_en,
         reduction=reduction, n_same=len(same_raw), n_diff=len(diff_raw), n_skipped=skipped)
-
-
-def _cos(table: EmbeddingTable, word_a: str, word_b: str) -> float:
-    va = table.vector(word_a)
-    vb = table.vector(word_b)
-    return float((va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb)))
 
 
 def principal_coordinates(matrix: np.ndarray, n_components: int = 2) -> np.ndarray:

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ggsignal.cli import main
+from ggsignal.cli import _default_stimuli_path, main
+from ggsignal.disentangler import load_stack
 from ggsignal.embeddings import EmbeddingTable, load_table, save_table
+from ggsignal.lexicon import load_stimuli
+from ggsignal.synthetic import SynthConfig, generate
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,7 +50,7 @@ def env(tmp_path_factory):
     return {
         "root": root, "table": table, "lexicon": lexicon, "stimuli": stimuli,
         "disentangled": out_table, "stack": stack, "disentangle_report": report,
-        "fem": fem, "masc": masc,
+        "base": base, "direction": direction, "fem": fem, "masc": masc,
     }
 
 
@@ -294,9 +297,6 @@ def test_report_argv_reproduces_identical_results(env, tmp_path):
 
 
 def test_packaged_stimuli_are_the_default(tmp_path):
-    from ggsignal.cli import _default_stimuli_path
-    from ggsignal.lexicon import load_stimuli
-
     stimuli = load_stimuli(_default_stimuli_path())
     words = [*stimuli["en.gens.science"].words, *stimuli["en.gens.humanities"].words,
              *stimuli["en.gens.men"].words, *stimuli["en.gens.women"].words]
@@ -337,3 +337,116 @@ def test_report_goes_to_stdout_when_unset(env, capsys):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_synth_direction_file_is_the_planted_stack(env):
+    _, _, planted, _ = generate(SynthConfig(dimension=25, per_class=60, signal_strength=6.0,
+                                            noise_scale=0.2, seed=5))
+    text = env["direction"].read_text(encoding="utf-8")
+    assert text == "1 25\n" + " ".join("%.17g" % v for v in planted) + "\n"
+    assert np.array_equal(load_stack(env["direction"]).directions[0], planted)
+
+
+@pytest.fixture(scope="module")
+def files(env, tmp_path_factory):
+    """Every kind of input file, built over the shared synthetic table."""
+    root = tmp_path_factory.mktemp("inputs")
+    fem, masc = env["fem"], env["masc"]
+
+    def write(name: str, text: str) -> Path:
+        (root / name).write_text(text, encoding="utf-8")
+        return root / name
+
+    stimuli = load_stimuli(_default_stimuli_path())
+    en_words = [w for key in ("en.gens.science", "en.gens.humanities", "en.gens.men",
+                              "en.gens.women") for w in stimuli[key].words]
+    en_table = root / "en.vec"
+    save_table(EmbeddingTable(en_words, np.random.default_rng(0).normal(
+        size=(len(en_words), 16))), en_table)
+    return {
+        **env,
+        "animacy": write("animate.txt", fem[59] + "\n"),
+        "pairs": write("pairs.tsv", "".join(f"{f}\t{m}\t7.0\n"
+                                            for f, m in zip(fem[20:40], masc[20:40]))),
+        "pair_list": write("pair_list.tsv", f"{fem[0]}\t{fem[1]}\t5.0\n{masc[0]}\t{masc[1]}\t5.0\n"
+                                             f"{fem[2]}\t{masc[2]}\t5.0\n{fem[3]}\t{masc[3]}\t5.0\n"),
+        "norms": write("norms.tsv", "".join(f"{w}\t{i / 2}\n"
+                                            for i, w in enumerate(fem[:6] + masc[:6]))),
+        "questions": write("q.txt", f": family\n{fem[0]} {fem[1]} {masc[0]} {masc[1]}\n"),
+        "en_table": en_table,
+    }
+
+
+# One valid command line per subcommand, without --report; outputs go to `out`.
+COMMANDS = {
+    "disentangle": lambda f, out: [
+        "disentangle", "--embeddings", str(f["table"]), "--lexicon", str(f["lexicon"]),
+        "--animacy", str(f["animacy"]), "--per-class", "40", "--iterations", "0"],
+    "weat": lambda f, out: [
+        "weat", "--stimuli", str(f["stimuli"]), "--targets-x", "syn.targets.f",
+        "--targets-y", "syn.targets.m", "--attributes-a", "syn.attrs.f",
+        "--attributes-b", "syn.attrs.m", "--before", str(f["table"]),
+        "--after", str(f["disentangled"])],
+    "weat-packaged-stimuli": lambda f, out: [
+        "weat", "--targets-x", "en.gens.science", "--targets-y", "en.gens.humanities",
+        "--attributes-a", "en.gens.men", "--attributes-b", "en.gens.women",
+        "--embeddings", str(f["en_table"])],
+    "sc-weat": lambda f, out: [
+        "sc-weat", "--stimuli", str(f["stimuli"]), "--word", f["fem"][0],
+        "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
+        "--embeddings", str(f["table"])],
+    "gg-weat": lambda f, out: [
+        "gg-weat", "--pairs", str(f["pairs"]), "--lexicon", str(f["lexicon"]),
+        "--animacy", str(f["animacy"]), "--stimuli", str(f["stimuli"]),
+        "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
+        "--before", str(f["table"]), "--after", str(f["disentangled"])],
+    "valnorm": lambda f, out: [
+        "valnorm", "--norms", str(f["norms"]), "--stimuli", str(f["stimuli"]),
+        "--pleasant", "syn.attrs.f", "--unpleasant", "syn.attrs.m",
+        "--before", str(f["table"]), "--after", str(f["disentangled"])],
+    "analogy": lambda f, out: [
+        "analogy", "--questions", str(f["questions"]), "--embeddings", str(f["table"])],
+    "pairdist": lambda f, out: [
+        "pairdist", "--pairs-gendered", str(f["pair_list"]),
+        "--pairs-english", str(f["pair_list"]), "--lexicon", str(f["lexicon"]),
+        "--animacy", str(f["animacy"]), "--raw", str(f["table"]),
+        "--disentangled", str(f["disentangled"]), "--english", str(f["base"])],
+    "sweep": lambda f, out: [
+        "sweep", "--lexicon", str(f["lexicon"]), "--animacy", str(f["animacy"]),
+        "--stimuli", str(f["stimuli"]), "--attributes-f", "syn.attrs.f",
+        "--attributes-m", "syn.attrs.m", "--per-gender", "25",
+        "--before", str(f["table"]), "--after", str(f["disentangled"]),
+        "--out-csv", str(out / "sweep.csv")],
+    "pca-coords": lambda f, out: [
+        "pca-coords", "--embeddings", str(f["table"]), "--lexicon", str(f["lexicon"]),
+        "--animacy", str(f["animacy"]), "--per-gender", "20",
+        "--out-csv", str(out / "coords.csv")],
+    "synth": lambda f, out: [
+        "synth", "--dimension", "4", "--per-class", "16",
+        "--out-embeddings", str(out / "synth.vec")],
+}
+STIMULI_COMMANDS = {"weat", "sc-weat", "gg-weat", "valnorm", "sweep"}
+
+
+@pytest.mark.parametrize("case", sorted(COMMANDS))
+def test_report_inputs_are_the_files_named_on_the_command_line(files, tmp_path, case):
+    argv = COMMANDS[case](files, tmp_path)
+    expected = {arg for arg in argv if Path(arg).is_file()}
+    if argv[0] in STIMULI_COMMANDS and "--stimuli" not in argv:
+        expected.add(str(_default_stimuli_path()))
+    report = tmp_path / "report.json"
+    assert main([*argv, "--report", str(report)]) == 0
+    assert set(read(report)["inputs"]) == expected
+
+
+@pytest.mark.parametrize("flag", ["--p-samples", "--exact-limit"])
+@pytest.mark.parametrize("command", ["valnorm", "sweep"])
+def test_permutation_flags_are_usage_errors_where_unread(files, tmp_path, command, flag):
+    assert main([*COMMANDS[command](files, tmp_path), flag, "1000"]) == 1
+
+
+@pytest.mark.parametrize("command", ["valnorm", "sweep"])
+def test_trim_to_equal_still_accepted(files, tmp_path, command):
+    report = tmp_path / "report.json"
+    assert main([*COMMANDS[command](files, tmp_path), "--trim-to-equal",
+                 "--report", str(report)]) == 0

@@ -233,11 +233,22 @@ def test_load_stack_validates(tmp_path):
     path.write_text("2 2\n1.0 0.0\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_stack(path)
+    path.write_text("1 3\nnan nan nan\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="finite"):
+        load_stack(path)
+    path.write_text("0 -2\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="header"):
+        load_stack(path)
+    path.write_text("1 2\nzebra 1\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="non-numeric"):
+        load_stack(path)
 
 
 def test_stack_requires_unit_directions():
     with pytest.raises(ValueError):
         HyperplaneStack(directions=np.array([[1.0, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        HyperplaneStack(directions=np.array([[np.nan, np.nan]]))
     with pytest.raises(ValueError):
         HyperplaneStack(directions=np.array([[1.0, 0.0]]),
                         per_iteration_accuracy=(0.9, 0.8))

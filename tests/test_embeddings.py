@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ggsignal.embeddings import EmbeddingTable, cosine, load_table, save_table
+from ggsignal import embeddings
+from ggsignal.embeddings import EmbeddingTable, atomic_open, cosine, load_table, save_table
 from ggsignal.errors import FormatError, MissingWordsError, ZeroVectorError
 
 
@@ -70,13 +71,12 @@ def test_malformed_files_abort(tmp_path, content):
         load_table(path)
 
 
-def test_case_sensitive_lookup_with_optional_fallback(tmp_path):
+def test_case_sensitive_lookup(tmp_path):
     path = tmp_path / "t.vec"
     path.write_text("1 2\nword 1 0\n", encoding="utf-8")
     table = load_table(path)
     with pytest.raises(MissingWordsError):
         table.vector("Word")
-    assert np.allclose(table.vector("Word", lowercase_fallback=True), [1, 0])
 
 
 def test_cosine_trivial_values():
@@ -127,6 +127,38 @@ def test_save_header_format(tmp_path):
     out = tmp_path / "t.vec"
     save_table(table, out)
     assert out.read_text(encoding="utf-8").splitlines()[0] == "2 2"
+
+
+def test_interrupted_save_keeps_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.vec"
+    save_table(EmbeddingTable(["a", "b"], np.eye(2)), path)
+    earlier = path.read_bytes()
+
+    class FailsAfterFirstRow(str):
+        calls = 0
+
+        def __mod__(self, value):
+            FailsAfterFirstRow.calls += 1
+            if FailsAfterFirstRow.calls > 3:
+                raise OSError("disk full")
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(embeddings, "_SAVE_FORMAT", FailsAfterFirstRow("%.6g"))
+    with pytest.raises(OSError, match="disk full"):
+        save_table(EmbeddingTable(["x", "y", "z"], np.ones((3, 3))), path)
+    assert path.read_bytes() == earlier
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_overlapping_atomic_writes_use_separate_temp_files(tmp_path):
+    path = tmp_path / "out.txt"
+    with atomic_open(path) as outer:
+        outer.write("outer\n")
+        with atomic_open(path) as inner:
+            inner.write("inner\n")
+        assert path.read_text(encoding="utf-8") == "inner\n"
+    assert path.read_text(encoding="utf-8") == "outer\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_table_rejects_duplicates_and_nonfinite():
