@@ -546,7 +546,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _write_report(args, argv, args.handler(args))
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
+        # ValueError: an option value the configuration objects reject.
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

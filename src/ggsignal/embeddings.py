@@ -29,6 +29,15 @@ log = logging.getLogger(__name__)
 # precision of public vector files. Round-tripping preserves cosines to ~1e-6.
 _SAVE_FORMAT = "%.6g"
 
+# Kept rows are converted to float64 this many at a time, which bounds the
+# value text held in memory.
+_BLOCK_ROWS = 4096
+
+# loadtxt strips the information separators U+001C..U+001F around a number as
+# whitespace; float() does not, and a value carrying them is not a number of
+# this format.
+_SEPARATORS = "\x1c\x1d\x1e\x1f"
+
 
 class EmbeddingTable:
     """Vocabulary-indexed dense vectors of one fixed dimension.
@@ -162,67 +171,123 @@ def load_table(path, vocab_limit: int | None = None,
     word from `required_words` found anywhere in the file. Required words not
     present in the file are reported on the returned table's
     `missing_required` and logged, never invented. Duplicate words keep their
-    first occurrence. Any malformed line aborts the load: silent skipping
-    would hide data corruption.
+    first occurrence. Any malformed line aborts the load with a FormatError
+    naming its line number: silent skipping would hide data corruption.
+
+    Fields are separated by single or repeated spaces; leading and trailing
+    spaces, CRLF line ends and blank lines are ignored. Every non-blank line,
+    kept or skipped, must hold the word plus `dimension` fields. Values are
+    finite decimal numbers in ASCII digits (`1.5`, `-2e-3`, `.5`); digit
+    separators such as `1_0` and non-ASCII digits are rejected. A load that
+    reads to the end of the file checks that the number of non-blank data
+    lines equals the header's count, so a truncated or overlong file fails.
+    A load that stops early, because `vocab_limit` entries and every required
+    word are in, does not read the rest and cannot check it.
     """
     path = Path(path)
     if vocab_limit is not None and vocab_limit <= 0:
         raise ValueError("vocab_limit must be positive")
+    limit = math.inf if vocab_limit is None else vocab_limit
     required = set(required_words or ())
     words: list[str] = []
-    vectors: list[np.ndarray] = []
     seen: set[str] = set()
     pending = set(required)
+    blocks: list[np.ndarray] = []
+    texts: list[str] = []      # value fields of kept rows not yet converted
+    linenos: list[int] = []
+
+    def convert() -> None:
+        if texts:
+            blocks.append(_parse_block(path, texts, linenos, dim))
+            texts.clear()
+            linenos.clear()
+
     with open(path, encoding="utf-8") as handle:
         header = handle.readline()
         if not header:
             raise FormatError(f"{path}: empty file")
-        _, dim = _parse_header(header.rstrip("\r\n"), path)
+        count, dim = _parse_header(header.rstrip("\r\n"), path)
+        rows = 0
         for lineno, raw in enumerate(handle, start=2):
             line = raw.rstrip("\r\n")
             if not line:
                 continue
-            tokens = [t for t in line.split(" ") if t]
-            if len(tokens) != dim + 1:
+            rows += 1
+            line = line.strip(" ")
+            if "  " in line:
+                line = " ".join([t for t in line.split(" ") if t])
+            fields = line.count(" ") + 1 if line else 0
+            if fields != dim + 1:
+                convert()  # an earlier bad value is reported first
                 raise FormatError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(tokens)}")
-            word = tokens[0]
-            in_prefix = vocab_limit is None or len(words) < vocab_limit
-            if word in seen:
-                pending.discard(word)
+                    f"{path}:{lineno}: expected {dim + 1} fields, got {fields}")
+            word = line[:line.index(" ")]
+            if word in seen or (len(words) >= limit and word not in required):
                 continue
-            if not in_prefix and word not in required:
-                continue
-            try:
-                vec = np.asarray(tokens[1:], dtype=np.float64)
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric value") from None
-            if not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}:{lineno}: non-finite value")
             words.append(word)
-            vectors.append(vec)
             seen.add(word)
             pending.discard(word)
-            if vocab_limit is not None and len(words) >= vocab_limit and not pending:
+            texts.append(line[len(word) + 1:])
+            linenos.append(lineno)
+            if len(texts) == _BLOCK_ROWS:
+                convert()
+            if len(words) >= limit and not pending:
                 break
-    if not words:
-        raise FormatError(f"{path}: no entries loaded")
+        else:
+            if rows != count:
+                raise FormatError(f"{path}: header promises {count} rows, "
+                                  f"file holds {rows}")
+    convert()
     missing = tuple(sorted(pending))
     if missing:
         log.warning("%s: %d required words absent from file: %s",
                     path, len(missing), ", ".join(missing[:10]))
-    return EmbeddingTable(words, np.vstack(vectors), missing_required=missing)
+    return EmbeddingTable(words, np.concatenate(blocks), missing_required=missing)
+
+
+def _parse_values(texts: list[str], dim: int) -> np.ndarray:
+    """(len(texts), dim) float64 rows from single-space separated value texts.
+
+    Raises ValueError naming what is wrong when any row is not `dim` finite
+    numbers.
+    """
+    if any(ch in text for text in texts for ch in _SEPARATORS):
+        raise ValueError("non-numeric value")
+    try:
+        rows = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+    except ValueError:
+        raise ValueError("non-numeric value") from None
+    if rows.shape != (len(texts), dim):
+        raise ValueError("non-numeric value")
+    if not np.isfinite(rows).all():
+        raise ValueError("non-finite value")
+    return rows
+
+
+def _parse_block(path: Path, texts: list[str], linenos: list[int], dim: int) -> np.ndarray:
+    """`_parse_values` of a block; on failure, FormatError for its first bad line."""
+    try:
+        return _parse_values(texts, dim)
+    except ValueError:
+        pass
+    rows = []
+    for text, lineno in zip(texts, linenos):
+        try:
+            rows.append(_parse_values([text], dim))
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
+    return np.concatenate(rows)
 
 
 def save_table(table: EmbeddingTable, path) -> None:
     """Write `table` in the same text format load_table accepts.
 
-    Values carry six significant digits; load(save(t)) reproduces the
-    vocabulary exactly and every cosine similarity within 1e-5.
+    Values carry six significant digits (`%.6g`), one row per line, written
+    through `atomic_open`; load(save(t)) reproduces the vocabulary exactly and
+    every cosine similarity within 1e-5.
     """
+    row_format = " ".join([_SAVE_FORMAT] * table.dimension)
     with atomic_open(path) as handle:
         handle.write(f"{len(table)} {table.dimension}\n")
-        matrix = table.matrix
-        for i, word in enumerate(table.words):
-            values = " ".join(_SAVE_FORMAT % v for v in matrix[i])
-            handle.write(f"{word} {values}\n")
+        for word, row in zip(table.words, table.matrix):
+            handle.write(f"{word} {row_format % tuple(row.tolist())}\n")

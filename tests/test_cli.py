@@ -127,6 +127,22 @@ def test_weat_usage_error_exit_code(env):
                  "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m"]) == 1
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["synth", "--per-class", "5"], "per_class must be at least 16"),
+    (["disentangle", "--stop-accuracy", "0.4"], "stop_accuracy must be in"),
+    (["disentangle", "--vocab-limit", "0"], "vocab_limit must be positive"),
+])
+def test_rejected_option_values_are_usage_errors(env, tmp_path, capsys, extra, message):
+    command, *options = extra
+    inputs = {"synth": ["--out-embeddings", str(tmp_path / "x.vec")],
+              "disentangle": ["--embeddings", str(env["table"]),
+                              "--lexicon", str(env["lexicon"])]}[command]
+    report = tmp_path / "r.json"
+    assert main([command, *inputs, *options, "--report", str(report)]) == 1
+    assert f"usage error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_nonexistent_input_is_a_data_error(env, tmp_path):
     assert main(["weat", "--stimuli", str(tmp_path / "ghost.txt"),
                  "--targets-x", "a", "--targets-y", "b",

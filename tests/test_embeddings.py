@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -133,19 +134,28 @@ def test_interrupted_save_keeps_earlier_file(tmp_path, monkeypatch):
     path = tmp_path / "t.vec"
     save_table(EmbeddingTable(["a", "b"], np.eye(2)), path)
     earlier = path.read_bytes()
+    real_atomic_open = embeddings.atomic_open
+    written = []
 
-    class FailsAfterFirstRow(str):
-        calls = 0
+    class DiskFullAfterFirstRow:
+        def __init__(self, handle):
+            self.handle = handle
 
-        def __mod__(self, value):
-            FailsAfterFirstRow.calls += 1
-            if FailsAfterFirstRow.calls > 3:
+        def write(self, text):
+            if len(written) == 2:  # the header and one row are in
                 raise OSError("disk full")
-            return str.__mod__(self, value)
+            written.append(text)
+            return self.handle.write(text)
 
-    monkeypatch.setattr(embeddings, "_SAVE_FORMAT", FailsAfterFirstRow("%.6g"))
+    @contextmanager
+    def failing_atomic_open(target):
+        with real_atomic_open(target) as handle:
+            yield DiskFullAfterFirstRow(handle)
+
+    monkeypatch.setattr(embeddings, "atomic_open", failing_atomic_open)
     with pytest.raises(OSError, match="disk full"):
         save_table(EmbeddingTable(["x", "y", "z"], np.ones((3, 3))), path)
+    assert written == ["3 3\n", "x 1 1 1\n"]
     assert path.read_bytes() == earlier
     assert list(tmp_path.iterdir()) == [path]
 
@@ -171,3 +181,189 @@ def test_table_rejects_duplicates_and_nonfinite():
 def test_rows_names_missing_words(fixture_table):
     with pytest.raises(MissingWordsError, match="nothere"):
         fixture_table.rows(["x1", "nothere"])
+
+
+# ------------------------------------------------------------ reference oracles
+#
+# The per-row parser and the per-value formatter that load_table and
+# save_table replaced. The block parser and the row formatter must agree with
+# them bit for bit and byte for byte on every file both accept.
+
+def reference_load(path, vocab_limit=None, required_words=None):
+    required = set(required_words or ())
+    words, vectors, seen, pending = [], [], set(), set(required)
+    with open(path, encoding="utf-8") as handle:
+        header = handle.readline()
+        if not header:
+            raise FormatError(f"{path}: empty file")
+        _, dim = embeddings._parse_header(header.rstrip("\r\n"), path)
+        for lineno, raw in enumerate(handle, start=2):
+            line = raw.rstrip("\r\n")
+            if not line:
+                continue
+            tokens = [t for t in line.split(" ") if t]
+            if len(tokens) != dim + 1:
+                raise FormatError(
+                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(tokens)}")
+            word = tokens[0]
+            in_prefix = vocab_limit is None or len(words) < vocab_limit
+            if word in seen:
+                continue
+            if not in_prefix and word not in required:
+                continue
+            try:
+                vec = np.asarray(tokens[1:], dtype=np.float64)
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: non-numeric value") from None
+            if not np.all(np.isfinite(vec)):
+                raise FormatError(f"{path}:{lineno}: non-finite value")
+            words.append(word)
+            vectors.append(vec)
+            seen.add(word)
+            pending.discard(word)
+            if vocab_limit is not None and len(words) >= vocab_limit and not pending:
+                break
+    if not words:
+        raise FormatError(f"{path}: no entries loaded")
+    return EmbeddingTable(words, np.vstack(vectors), missing_required=tuple(sorted(pending)))
+
+
+def reference_save_bytes(table):
+    lines = [f"{len(table)} {table.dimension}\n"]
+    for i, word in enumerate(table.words):
+        lines.append(word + " " + " ".join("%.6g" % v for v in table.matrix[i]) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
+def _outcome(load, path, **kwargs):
+    try:
+        return load(path, **kwargs)
+    except FormatError as exc:
+        return str(exc)
+
+
+WORDS = ["a", "b", "c", "d", "é", "x\ty", "\xa0", "\x0c", "w\x1c"]
+GOOD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(min_value=-10, max_value=10).map(lambda v: f"{v:.4f}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: "%.6g" % v),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["-0", "+1", ".5", "5.", "1e-400", "1E5", "1\t", "\t2", "3\xa0",
+                     " 4", "5\x0c", "6\x85"]))
+BAD_VALUES = st.sampled_from(["zebra", "inf", "-Infinity", "nan", "1e500", "1,5", "0x10",
+                              "\t", "\x0c", "1\x1c", "\x1f2", "1\t2", "1e", ""])
+
+
+@st.composite
+def vector_files(draw):
+    dim = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "", "", "", " ", "  "])))
+            continue
+        n_values = dim + draw(st.sampled_from([0] * 40 + [-1, 1]))
+        values = draw(st.lists(GOOD_VALUES, min_size=n_values, max_size=n_values))
+        if values and draw(st.integers(0, 14)) == 0:
+            values[draw(st.integers(0, len(values) - 1))] = draw(BAD_VALUES)
+        fields = [draw(st.sampled_from(WORDS)), *values]
+        gaps = draw(st.lists(st.sampled_from([" "] * 6 + ["  ", "   "]),
+                             min_size=len(fields), max_size=len(fields)))
+        line = "".join(g + f for g, f in zip(gaps, fields))
+        line = line[draw(st.sampled_from([1, 1, 1, 0])):]  # sometimes a leading space
+        lines.append(line + draw(st.sampled_from(["", "", " ", "  "])))
+    count = sum(1 for line in lines if line)
+    ends = draw(st.lists(st.sampled_from(["\n", "\n", "\r\n"]),
+                         min_size=len(lines) + 1, max_size=len(lines) + 1))
+    text = f"{max(count, 1)} {dim}" + "".join(e + line for e, line in zip(ends, lines))
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=vector_files(),
+       vocab_limit=st.one_of(st.none(), st.integers(1, 13)),
+       required=st.lists(st.sampled_from(WORDS + ["ghost"]), max_size=4))
+def test_load_matches_per_row_reference(tmp_path_factory, text, vocab_limit, required):
+    path = tmp_path_factory.mktemp("diff") / "t.vec"
+    path.write_bytes(text.encode("utf-8"))
+    kwargs = {"vocab_limit": vocab_limit, "required_words": required}
+    expected = _outcome(reference_load, path, **kwargs)
+    actual = _outcome(load_table, path, **kwargs)
+    if isinstance(expected, str):
+        # A file with no data lines now fails the header count check first.
+        assert actual == expected.replace("no entries loaded",
+                                          "header promises 1 rows, file holds 0")
+        return
+    assert not isinstance(actual, str), actual
+    assert actual.words == expected.words
+    assert actual.missing_required == expected.missing_required
+    assert actual.matrix.shape == expected.matrix.shape
+    assert np.array_equal(actual.matrix.view(np.int64), expected.matrix.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=st.integers(1, 5).flatmap(lambda dim: st.lists(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim,
+                    max_size=dim), min_size=1, max_size=6)),
+       names=st.lists(st.text(alphabet="abcé\xa0", min_size=1, max_size=4),
+                      min_size=6, max_size=6, unique=True))
+def test_save_matches_per_value_reference(tmp_path_factory, matrix, names):
+    table = EmbeddingTable(names[:len(matrix)], np.array(matrix))
+    path = tmp_path_factory.mktemp("save") / "t.vec"
+    save_table(table, path)
+    assert path.read_bytes() == reference_save_bytes(table)
+
+
+def test_block_boundaries_match_reference(tmp_path, monkeypatch):
+    monkeypatch.setattr(embeddings, "_BLOCK_ROWS", 3)
+    rng = np.random.default_rng(5)
+    table = EmbeddingTable([f"w{i}" for i in range(11)], rng.normal(size=(11, 4)))
+    path = tmp_path / "t.vec"
+    save_table(table, path)
+    for limit, required in ((None, None), (3, None), (4, ["w9", "w10"]), (6, ["w7"])):
+        expected = reference_load(path, limit, required)
+        actual = load_table(path, limit, required)
+        assert actual.words == expected.words
+        assert np.array_equal(actual.matrix.view(np.int64), expected.matrix.view(np.int64))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[8] = lines[8].rsplit(" ", 1)[0] + " zebra"  # a bad value in the third block
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=rf"{path}:9: non-numeric value"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("value", ["1_0", "1e1_0", "١", "１", "1٢"])
+def test_digit_separators_and_non_ascii_digits_rejected(tmp_path, value):
+    # float() reads these; the table format accepts ASCII digits only.
+    path = tmp_path / "t.vec"
+    path.write_text(f"2 2\na 1 0\nb 0 {value}\n", encoding="utf-8")
+    assert reference_load(path).words == ("a", "b")
+    with pytest.raises(FormatError, match=rf"{path}:3: non-numeric value"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("count, rows", [(3, "a 1 0\nb 0 1\n"),
+                                         (1, "a 1 0\nb 0 1\n"),
+                                         (2, "a 1 0\n\n\n")])
+def test_header_count_mismatch_raises_when_read_to_end(tmp_path, count, rows):
+    path = tmp_path / "t.vec"
+    path.write_text(f"{count} 2\n{rows}", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"header promises {count} rows"):
+        load_table(path)
+    with pytest.raises(FormatError, match="header promises"):
+        load_table(path, vocab_limit=5, required_words=["b"])
+
+
+def test_header_count_counts_skipped_and_duplicate_lines(tmp_path):
+    path = tmp_path / "t.vec"
+    path.write_text("4 2\na 1 0\n\na 2 2\nb 0 1\nc 3 3\r\n", encoding="utf-8")
+    assert load_table(path, vocab_limit=1, required_words=["c"]).words == ("a", "c")
+
+
+def test_early_stop_by_vocab_limit_accepts_short_file(tmp_path):
+    path = tmp_path / "t.vec"
+    path.write_text("9 2\na 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+    assert load_table(path, vocab_limit=2).words == ("a", "b")
+    assert load_table(path, vocab_limit=1, required_words=["c"]).words == ("a", "c")
+    with pytest.raises(FormatError, match="header promises 9 rows, file holds 3"):
+        load_table(path, vocab_limit=2, required_words=["ghost"])
