@@ -4,7 +4,7 @@ measurement for word embeddings."""
 __version__ = "0.1.0"
 
 from .association import (AssociationResult, PermutationConfig, PValueMethod,
-                          permutation_p, s_word, sc_weat, weat)
+                          permutation_p, sc_weat, weat)
 from .classifier import LinearModel, TrainConfig, accuracy, decision_direction, train
 from .disentangler import (DisentangleConfig, HyperplaneStack, apply_stack,
                            load_stack, project_out, run, save_stack)

@@ -6,9 +6,12 @@ Conventions pinned here and relied on by every caller:
 * "std-dev" in the effect-size denominator is the POPULATION standard
   deviation (divide by n). Sample std-dev would shift the effect size by a
   visible factor on small sets.
-* The p-value counts permuted statistics STRICTLY greater than the observed
-  one; in exact mode the denominator is the number of all equal-size
-  partitions, identity partition included.
+* The p-value permutes the pooled per-item scores, first set first, over
+  equal-size partitions. It counts partitions whose first-set score sum is
+  STRICTLY greater than the observed first set's; both tests' statistics
+  increase strictly with that sum, so this counts the partitions with a
+  larger statistic. In exact mode the denominator is the number of all
+  equal-size partitions, identity partition included.
 * Exact enumeration runs while the partition count is at most
   `exact_limit`; beyond that a seeded Monte Carlo estimate with
   ``p = (count + 1) / (samples + 1)`` is used and recorded as such.
@@ -25,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -122,32 +124,22 @@ def _resolve_set(table: EmbeddingTable, stimulus: StimulusSet, *, on_missing: st
     return unit, words
 
 
-def s_word(w, attr_a, attr_b) -> float:
-    """Differential association of one vector with two attribute matrices:
-    mean cosine to the first minus mean cosine to the second."""
-    w = np.asarray(w, dtype=np.float64)
-    a = np.asarray(attr_a, dtype=np.float64)
-    b = np.asarray(attr_b, dtype=np.float64)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise DataError("attribute sets must be non-empty")
-    wn = float(np.linalg.norm(w))
-    an = np.linalg.norm(a, axis=1)
-    bn = np.linalg.norm(b, axis=1)
-    if wn == 0.0 or np.any(an == 0.0) or np.any(bn == 0.0):
-        raise ZeroVectorError("zero-norm vector in differential association")
-    return float(np.mean((a @ w) / (an * wn)) - np.mean((b @ w) / (bn * wn)))
+def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: StimulusSet,
+                    attributes_b: StimulusSet, *, on_missing: str = "error",
+                    min_words: int = MIN_SET_WORDS) -> np.ndarray:
+    """Single-category effect size of each of `words` against two attribute sets.
 
-
-def sc_effect_sizes(target_matrix: np.ndarray, attr_a: np.ndarray,
-                    attr_b: np.ndarray) -> np.ndarray:
-    """Single-category effect size for each row of `target_matrix`.
-
-    All inputs must already be unit rows. Per row: the mean-cosine difference
-    to the two attribute blocks over the population std-dev of the cosines to
-    the pooled attributes.
+    The attribute sets are resolved under the missing-word policy, as in
+    `weat`. Every word must be in the table with a non-zero vector; callers
+    filter their words first. Per word: the mean-cosine difference to the
+    two sets over the population std-dev of the cosines to the pooled
+    attributes.
     """
-    cos_a = target_matrix @ attr_a.T
-    cos_b = target_matrix @ attr_b.T
+    a_mat, _ = _resolve_set(table, attributes_a, on_missing=on_missing, min_words=min_words)
+    b_mat, _ = _resolve_set(table, attributes_b, on_missing=on_missing, min_words=min_words)
+    units, _ = _unit_rows(table.rows(words), words, "target words", "error")
+    cos_a = units @ a_mat.T
+    cos_b = units @ b_mat.T
     pooled = np.hstack([cos_a, cos_b])
     spread = pooled.std(axis=1)
     if np.any(spread == 0.0):
@@ -164,25 +156,30 @@ def _exact_index_matrix(n_items: int, group_size: int) -> np.ndarray:
     return matrix
 
 
-def permutation_p(statistic_fn: Callable[[np.ndarray], np.ndarray], observed: float,
-                  n_items: int, group_size: int,
-                  config: PermutationConfig = PermutationConfig()) -> tuple[float, PValueMethod]:
-    """One-sided p-value over equal-size two-set partitions of `n_items`.
+def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationConfig()
+                  ) -> tuple[float, PValueMethod]:
+    """One-sided p-value over equal-size two-set partitions of pooled scores.
 
-    `statistic_fn` receives an (m, group_size) matrix of first-set index rows
-    and returns the m permuted statistics. Exact mode enumerates every
-    partition when their count is at most `config.exact_limit`; otherwise a
-    seeded Monte Carlo estimate is drawn.
+    `scores` holds one score per item, the observed first set's in its first
+    half. A partition counts when its first-set sum is strictly greater than
+    the identity partition's, which goes through the same gather and sum so
+    that it never counts itself. Exact mode enumerates every partition when
+    their count is at most `config.exact_limit`; otherwise a seeded Monte
+    Carlo estimate is drawn.
     """
-    if n_items <= 0 or group_size <= 0 or group_size >= n_items:
-        raise DataError(f"empty partition space (n={n_items}, group={group_size})")
-    total = comb(n_items, group_size)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or len(scores) < 2 or len(scores) % 2:
+        raise DataError(f"permutation needs an even number of at least 2 pooled scores, "
+                        f"got shape {scores.shape}")
+    n_items = len(scores)
+    group = n_items // 2
+    observed = scores[np.arange(group)[None, :]].sum(axis=1)[0]
+    total = comb(n_items, group)
     if total <= config.exact_limit:
-        idx = _exact_index_matrix(n_items, group_size)
+        idx = _exact_index_matrix(n_items, group)
         count = 0
         for start in range(0, total, 65536):
-            stats = statistic_fn(idx[start:start + 65536])
-            count += int(np.sum(stats > observed))
+            count += int(np.sum(scores[idx[start:start + 65536]].sum(axis=1) > observed))
         return count / total, PValueMethod("exact", partitions=total)
     rng = rng_for(config.seed, "permutation")
     count = 0
@@ -190,9 +187,8 @@ def permutation_p(statistic_fn: Callable[[np.ndarray], np.ndarray], observed: fl
     while remaining > 0:
         batch = min(remaining, 4096)
         keys = rng.random((batch, n_items))
-        idx = np.argpartition(keys, group_size - 1, axis=1)[:, :group_size]
-        stats = statistic_fn(idx)
-        count += int(np.sum(stats > observed))
+        idx = np.argpartition(keys, group - 1, axis=1)[:, :group]
+        count += int(np.sum(scores[idx].sum(axis=1) > observed))
         remaining -= batch
     p = (count + 1) / (config.samples + 1)
     return p, PValueMethod("monte-carlo", samples=config.samples, seed=config.seed)
@@ -256,18 +252,7 @@ def weat(targets_x: StimulusSet, targets_y: StimulusSet, attributes_a: StimulusS
         raise NumericError("zero variance of differential associations")
     effect = float((s_x.mean() - s_y.mean()) / spread)
     statistic = float(s_x.sum() - s_y.sum())
-
-    total = float(pooled.sum())
-    group = len(pooled) // 2
-
-    def permuted(idx: np.ndarray) -> np.ndarray:
-        return 2.0 * pooled[idx].sum(axis=1) - total
-
-    # Count against the identity partition evaluated through the same code
-    # path, so it is bitwise equal to the observed value and the strict ">"
-    # excludes it regardless of float summation order.
-    observed = float(permuted(np.arange(group)[None, :])[0])
-    p, method = permutation_p(permuted, observed, len(pooled), group, p_config)
+    p, method = permutation_p(pooled, p_config)
     return AssociationResult(effect, statistic, p, method,
                              (len(x_words), len(y_words), a_mat.shape[0], b_mat.shape[0]))
 
@@ -299,15 +284,6 @@ def sc_weat(word: str, attributes_a: StimulusSet, attributes_b: StimulusSet,
         raise NumericError("zero variance of attribute cosines")
     effect = float((cos_a.mean() - cos_b.mean()) / spread)
     statistic = float(cos_a.mean() - cos_b.mean())
-
-    total = float(pooled.sum())
-    group = len(pooled) // 2
-
-    def permuted(idx: np.ndarray) -> np.ndarray:
-        first = pooled[idx].sum(axis=1)
-        return first / group - (total - first) / (len(pooled) - group)
-
-    observed = float(permuted(np.arange(group)[None, :])[0])
-    p, method = permutation_p(permuted, observed, len(pooled), group, p_config)
+    p, method = permutation_p(pooled, p_config)
     return AssociationResult(effect, statistic, p, method,
                              (1, 1, len(a_words), len(b_words)))

@@ -146,9 +146,10 @@ def _add_table_args(parser: _Parser) -> None:
 
 
 def _add_perm_args(parser: _Parser) -> None:
-    parser.add_argument("--p-samples", type=int, default=100_000,
+    defaults = PermutationConfig()
+    parser.add_argument("--p-samples", type=int, default=defaults.samples,
                         help="Monte Carlo sample count when enumeration is infeasible")
-    parser.add_argument("--exact-limit", type=int, default=200_000,
+    parser.add_argument("--exact-limit", type=int, default=defaults.exact_limit,
                         help="max partition count for exact enumeration")
     _add_set_args(parser)
 
@@ -219,10 +220,8 @@ def _cmd_disentangle(args) -> dict:
     }
     if args.out_embeddings:
         save_table(transformed, args.out_embeddings)
-        results["out_embeddings"] = args.out_embeddings
     if args.out_stack:
         save_stack(stack, args.out_stack)
-        results["out_stack"] = args.out_stack
     return results
 
 
@@ -344,7 +343,6 @@ def _cmd_sweep(args) -> dict:
             lines.append(f"{r.word},{r.gender},{r.d_before!r},{r.d_after!r},"
                          f"{int(r.weakened)},{int(r.weakened_loose)}")
         _atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
-        results["out_csv"] = args.out_csv
     return results
 
 
@@ -356,23 +354,15 @@ def _cmd_synth(args) -> dict:
                          seed=args.seed)
     table, lexicon, direction, base_table = generate(config)
     save_table(table, args.out_embeddings)
-    results = {
-        "words": len(table),
-        "dimension": table.dimension,
-        "out_embeddings": args.out_embeddings,
-    }
     if args.out_base:
         save_table(base_table, args.out_base)
-        results["out_base"] = args.out_base
     if args.out_lexicon:
         lines = [f"{w}\tF" for w in lexicon.feminine] + \
                 [f"{w}\tM" for w in lexicon.masculine]
         _atomic_write_text(args.out_lexicon, "\n".join(lines) + "\n")
-        results["out_lexicon"] = args.out_lexicon
     if args.out_direction:
         save_stack(HyperplaneStack(directions=direction.reshape(1, -1)), args.out_direction)
-        results["out_direction"] = args.out_direction
-    return results
+    return {"words": len(table), "dimension": table.dimension}
 
 
 def _cmd_pca_coords(args) -> dict:
@@ -389,7 +379,7 @@ def _cmd_pca_coords(args) -> dict:
     for word, gender, (pc1, pc2) in zip(words, genders, coords):
         lines.append(f"{word},{gender},{float(pc1)!r},{float(pc2)!r}")
     _atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
-    return {"n_words": len(words), "per_gender": per_gender, "out_csv": args.out_csv}
+    return {"n_words": len(words), "per_gender": per_gender}
 
 
 # ------------------------------------------------------------------- parser

@@ -14,8 +14,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .association import (AssociationResult, PermutationConfig, sc_effect_sizes,
-                          weat, _resolve_set)
+from .association import AssociationResult, PermutationConfig, sc_effect_sizes, weat
 from .embeddings import EmbeddingTable, cosine
 from .errors import DataError, MissingWordsError, NumericError
 from .lexicon import (FEMININE, MASCULINE, MIN_SET_WORDS, AnalogyQuestion,
@@ -24,6 +23,8 @@ from .lexicon import (FEMININE, MASCULINE, MIN_SET_WORDS, AnalogyQuestion,
 log = logging.getLogger(__name__)
 
 GG_MIN_TARGETS = 8
+# Analogy questions scored per matrix product against the whole vocabulary.
+ANALOGY_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -170,17 +171,10 @@ def sc_gg_sweep(feminine_words: list[str], masculine_words: list[str],
     if not kept_words:
         raise DataError("sweep sample empty after filtering")
 
-    def effects(table: EmbeddingTable) -> np.ndarray:
-        fem_mat, _ = _resolve_set(table, feminine_attributes,
-                                  on_missing=on_missing, min_words=min_words)
-        masc_mat, _ = _resolve_set(table, masculine_attributes,
-                                   on_missing=on_missing, min_words=min_words)
-        rows = table.rows(kept_words)
-        units = rows / np.linalg.norm(rows, axis=1)[:, None]
-        return sc_effect_sizes(units, fem_mat, masc_mat)
-
-    d_before = effects(table_before)
-    d_after = effects(table_after)
+    d_before, d_after = (sc_effect_sizes(table, kept_words, feminine_attributes,
+                                         masculine_attributes, on_missing=on_missing,
+                                         min_words=min_words)
+                         for table in (table_before, table_after))
 
     records = []
     for word, gender, before, after in zip(kept_words, kept_genders, d_before, d_after):
@@ -218,9 +212,6 @@ def valnorm(norms: list[ValenceNorm], pleasant: StimulusSet, unpleasant: Stimulu
     pleasant/unpleasant sets). Norm words without a usable vector are
     dropped and counted; at least 3 must remain.
     """
-    pleasant_mat, _ = _resolve_set(table, pleasant, on_missing=on_missing, min_words=min_words)
-    unpleasant_mat, _ = _resolve_set(table, unpleasant, on_missing=on_missing, min_words=min_words)
-
     usable: list[ValenceNorm] = []
     dropped = 0
     for norm in norms:
@@ -233,9 +224,8 @@ def valnorm(norms: list[ValenceNorm], pleasant: StimulusSet, unpleasant: Stimulu
     if len(usable) < 3:
         raise DataError(f"only {len(usable)} valence words usable; need at least 3")
 
-    rows = table.rows([n.word for n in usable])
-    units = rows / np.linalg.norm(rows, axis=1)[:, None]
-    embedding_scores = sc_effect_sizes(units, pleasant_mat, unpleasant_mat)
+    embedding_scores = sc_effect_sizes(table, [n.word for n in usable], pleasant, unpleasant,
+                                       on_missing=on_missing, min_words=min_words)
     human_scores = np.array([n.valence for n in usable])
     if float(np.std(embedding_scores)) == 0.0 or float(np.std(human_scores)) == 0.0:
         raise NumericError("zero variance in a valence series; correlation undefined")
@@ -244,24 +234,26 @@ def valnorm(norms: list[ValenceNorm], pleasant: StimulusSet, unpleasant: Stimulu
 
 
 def analogy_accuracy(questions: list[AnalogyQuestion], table: EmbeddingTable,
-                     sections: set[str] | None = None,
-                     chunk_size: int = 256) -> tuple[float, int]:
+                     sections: set[str] | None = None) -> tuple[float, int]:
     """Offset-analogy accuracy over the table's whole vocabulary.
 
     The query direction is built from unit-normalized vectors of the first
     three words; the three query words are excluded from the candidates and
     the top-cosine candidate must equal the fourth word case-sensitively.
-    Questions whose first three words are unresolvable are dropped and
-    counted; a missing fourth word scores as incorrect.
+    Candidate scores are dot products divided by the candidates' norms, so
+    no normalized copy of the table is made. Questions whose first three
+    words are unresolvable are dropped and counted; a missing fourth word
+    scores as incorrect.
     """
     pool = [q for q in questions if sections is None or q.section in sections]
     if not pool:
         raise DataError("no analogy questions after section filtering")
 
-    norms = np.linalg.norm(table.matrix, axis=1)
+    matrix = table.matrix
+    norms = np.linalg.norm(matrix, axis=1)
     usable_row = norms > 0.0
-    unit = np.zeros_like(table.matrix)
-    unit[usable_row] = table.matrix[usable_row] / norms[usable_row, None]
+    # Zero rows score 0 / inf = 0 before they are excluded below.
+    divisor = np.where(usable_row, norms, inf)
     index = {w: i for i, w in enumerate(table.words)}
 
     def row(word: str) -> int | None:
@@ -282,11 +274,15 @@ def analogy_accuracy(questions: list[AnalogyQuestion], table: EmbeddingTable,
     if not attempted:
         raise DataError("every analogy question had unresolvable query words")
 
+    def unit(i: int) -> np.ndarray:
+        return matrix[i] / norms[i]
+
     correct = 0
-    for start in range(0, len(attempted), chunk_size):
-        chunk = attempted[start:start + chunk_size]
-        queries = np.stack([unit[rb] - unit[ra] + unit[rc] for _, ra, rb, rc in chunk])
-        scores = queries @ unit.T
+    for start in range(0, len(attempted), ANALOGY_CHUNK):
+        chunk = attempted[start:start + ANALOGY_CHUNK]
+        queries = np.stack([unit(rb) - unit(ra) + unit(rc) for _, ra, rb, rc in chunk])
+        scores = queries @ matrix.T
+        scores /= divisor
         scores[:, ~usable_row] = -inf
         for j, (q, ra, rb, rc) in enumerate(chunk):
             scores[j, [ra, rb, rc]] = -inf

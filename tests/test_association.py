@@ -12,12 +12,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ggsignal.association import (PermutationConfig, permutation_p, s_word,
-                                  sc_effect_sizes, sc_weat, weat)
+from ggsignal.association import (PermutationConfig, PValueMethod, _exact_index_matrix,
+                                  permutation_p, sc_effect_sizes, sc_weat, weat)
 from ggsignal.embeddings import EmbeddingTable
 from ggsignal.errors import (DataError, MissingWordsError, UndersizedSetError,
                              ZeroVectorError)
 from ggsignal.lexicon import StimulusSet
+from ggsignal.seeding import rng_for
 
 # Frozen from the pre-build oracle run over tests/data/fixture_2d.vec.
 FIXTURE_WEAT_D = 1.0524982847198139
@@ -81,29 +82,39 @@ def fixture_vectors(table, prefix, count):
     return [tuple(table.vector(f"{prefix}{i}")) for i in range(1, count + 1)]
 
 
-# --- differential association ------------------------------------------------
+# --- single-category effect sizes -------------------------------------------
 
-def test_s_word_identical_attribute_sets_is_zero():
-    a = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert s_word(np.array([2.0, 3.0]), a, a) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_s_word_trivial_values():
-    w = np.array([1.0, 0.0])
-    assert s_word(w, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) == pytest.approx(1.0)
-    mid = np.array([1.0, 1.0]) / math.sqrt(2)
-    assert s_word(mid, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])) == pytest.approx(0.0, abs=1e-12)
+def test_sc_effect_sizes_identical_attribute_sets_is_zero(fixture_table, fixture_stimuli):
+    a = fixture_stimuli["fixture.sc.a"]
+    effects = sc_effect_sizes(fixture_table, ["x1", "y3", "w0"], a, a, min_words=5)
+    assert np.all(effects == 0.0)
 
 
-def test_s_word_antisymmetric_in_attribute_sets():
-    rng = np.random.default_rng(0)
-    w, a, b = rng.normal(size=5), rng.normal(size=(4, 5)), rng.normal(size=(6, 5))
-    assert s_word(w, a, b) == pytest.approx(-s_word(w, b, a), abs=1e-15)
+def test_sc_effect_sizes_trivial_values():
+    table = EmbeddingTable(["u", "v", "a", "b"],
+                           np.array([[3.0, 0.0], [0.0, 0.5], [1.0, 0.0], [0.0, 1.0]]))
+    a, b = StimulusSet("a", ("a",)), StimulusSet("b", ("b",))
+    # Cosines (1, 0) and (0, 1): difference +-1 over population std-dev 0.5.
+    effects = sc_effect_sizes(table, ["u", "v"], a, b, min_words=1)
+    assert effects == pytest.approx([2.0, -2.0], abs=1e-12)
 
 
-def test_s_word_zero_vector_rejected():
-    with pytest.raises(ZeroVectorError):
-        s_word(np.zeros(3), np.ones((2, 3)), np.ones((2, 3)))
+def test_sc_effect_sizes_antisymmetric_in_attribute_sets(fixture_table, fixture_stimuli):
+    a, b = fixture_stimuli["fixture.sc.a"], fixture_stimuli["fixture.sc.b"]
+    words = ["x1", "y3", "w0", "a5"]
+    forward = sc_effect_sizes(fixture_table, words, a, b, min_words=5)
+    backward = sc_effect_sizes(fixture_table, words, b, a, min_words=5)
+    assert forward == pytest.approx(-backward, abs=1e-15)
+
+
+def test_sc_effect_sizes_zero_vector_rejected(fixture_table, fixture_stimuli):
+    words = list(fixture_table.words)
+    matrix = fixture_table.matrix.copy()
+    matrix[words.index("w0")] = 0.0
+    table = EmbeddingTable(words, matrix)
+    with pytest.raises(ZeroVectorError, match="w0"):
+        sc_effect_sizes(table, ["x1", "w0"], fixture_stimuli["fixture.sc.a"],
+                        fixture_stimuli["fixture.sc.b"], min_words=5)
 
 
 # --- fixture oracle ----------------------------------------------------------
@@ -193,32 +204,81 @@ def test_weat_scaling_invariance(fixture_table, fixture_stimuli):
 # --- permutation machinery ---------------------------------------------------
 
 def test_permutation_p_exact_strict_count():
-    values = np.array([10.0, 9.0, 1.0, 0.5])
-    total = float(values.sum())
-
-    def stat(idx):
-        return 2.0 * values[idx].sum(axis=1) - total
-
-    observed = float(stat(np.array([[0, 1]]))[0])
-    p, method = permutation_p(stat, observed, 4, 2)
+    p, method = permutation_p(np.array([10.0, 9.0, 1.0, 0.5]))
     assert method.kind == "exact"
     assert method.partitions == 6
     assert p == 0.0
 
 
-def test_permutation_p_minus_infinity_observed_is_one():
-    values = np.array([1.0, 2.0, 3.0, 4.0])
-
-    def stat(idx):
-        return values[idx].sum(axis=1)
-
-    p, _ = permutation_p(stat, float("-inf"), 4, 2)
-    assert p == 1.0
+def test_permutation_p_identity_at_minimum():
+    # The identity partition (scores 1 and 2) has the unique smallest sum, so
+    # every other partition counts and the identity itself does not.
+    p, method = permutation_p(np.array([1.0, 2.0, 3.0, 4.0]))
+    assert p == (method.partitions - 1) / method.partitions == 5 / 6
 
 
 def test_permutation_p_empty_space_rejected():
-    with pytest.raises(DataError):
-        permutation_p(lambda idx: idx.sum(axis=1), 0.0, 2, 2)
+    # No partition into two equal halves: too few scores, or an odd count.
+    for scores in ([], [1.0], [1.0, 2.0, 3.0]):
+        with pytest.raises(DataError):
+            permutation_p(np.array(scores))
+
+
+# Reference oracle: the earlier callback form of `permutation_p`, kept here
+# only to check the pooled-score form against it.
+def _callback_permutation_p(statistic_fn, observed, n_items, group_size, config):
+    total = math.comb(n_items, group_size)
+    if total <= config.exact_limit:
+        idx = _exact_index_matrix(n_items, group_size)
+        count = 0
+        for start in range(0, total, 65536):
+            stats = statistic_fn(idx[start:start + 65536])
+            count += int(np.sum(stats > observed))
+        return count / total, PValueMethod("exact", partitions=total)
+    rng = rng_for(config.seed, "permutation")
+    count = 0
+    remaining = config.samples
+    while remaining > 0:
+        batch = min(remaining, 4096)
+        keys = rng.random((batch, n_items))
+        idx = np.argpartition(keys, group_size - 1, axis=1)[:, :group_size]
+        stats = statistic_fn(idx)
+        count += int(np.sum(stats > observed))
+        remaining -= batch
+    p = (count + 1) / (config.samples + 1)
+    return p, PValueMethod("monte-carlo", samples=config.samples, seed=config.seed)
+
+
+def _weat_statistic(pooled):
+    total = float(pooled.sum())
+
+    def permuted(idx):
+        return 2.0 * pooled[idx].sum(axis=1) - total
+    return permuted
+
+
+def _sc_weat_statistic(pooled):
+    total = float(pooled.sum())
+    group = len(pooled) // 2
+
+    def permuted(idx):
+        first = pooled[idx].sum(axis=1)
+        return first / group - (total - first) / (len(pooled) - group)
+    return permuted
+
+
+@pytest.mark.parametrize("n_items", [16, 20, 24, 32])
+@pytest.mark.parametrize("statistic", [_weat_statistic, _sc_weat_statistic])
+def test_permutation_p_matches_callback_reference(n_items, statistic):
+    config = PermutationConfig(exact_limit=200_000, samples=20_000, seed=7)
+    for seed in range(3):
+        pooled = np.random.default_rng([n_items, seed]).normal(size=n_items)
+        fn = statistic(pooled)
+        group = n_items // 2
+        observed = float(fn(np.arange(group)[None, :])[0])
+        expected = _callback_permutation_p(fn, observed, n_items, group, config)
+        assert permutation_p(pooled, config) == expected
+        assert expected[1].kind == ("exact" if n_items <= 20 else "monte-carlo")
 
 
 def test_exact_and_monte_carlo_agree(fixture_table, fixture_stimuli):
@@ -332,13 +392,7 @@ def test_bulk_sc_effects_match_single_route(fixture_table, fixture_stimuli):
     a = fixture_stimuli["fixture.sc.a"]
     b = fixture_stimuli["fixture.sc.b"]
     targets = ["x1", "y3", "w0", "a5"]
-    rows = fixture_table.rows(targets)
-    units = rows / np.linalg.norm(rows, axis=1)[:, None]
-    a_rows = fixture_table.rows(list(a.words))
-    b_rows = fixture_table.rows(list(b.words))
-    a_units = a_rows / np.linalg.norm(a_rows, axis=1)[:, None]
-    b_units = b_rows / np.linalg.norm(b_rows, axis=1)[:, None]
-    bulk = sc_effect_sizes(units, a_units, b_units)
+    bulk = sc_effect_sizes(fixture_table, targets, a, b, min_words=5)
     for word, expected in zip(targets, bulk):
         single = sc_weat(word, a, b, fixture_table, min_words=5)
         assert single.effect_size == pytest.approx(float(expected), abs=1e-12)

@@ -253,6 +253,27 @@ def test_sweep_command_emits_csv(env, tmp_path):
     assert len(lines) == 1 + 50
 
 
+def test_results_do_not_depend_on_output_paths(env, tmp_path):
+    def results(out: Path) -> list[dict]:
+        out.mkdir()
+        assert main(["disentangle", "--embeddings", str(env["table"]),
+                     "--lexicon", str(env["lexicon"]), "--per-class", "40",
+                     "--regularization", "0.1", "--epochs", "30", "--seed", "5",
+                     "--out-embeddings", str(out / "dis.vec"),
+                     "--out-stack", str(out / "stack.txt"),
+                     "--report", str(out / "disentangle.json")]) == 0
+        assert main(["sweep", "--lexicon", str(env["lexicon"]),
+                     "--stimuli", str(env["stimuli"]),
+                     "--attributes-f", "syn.attrs.f", "--attributes-m", "syn.attrs.m",
+                     "--per-gender", "25", "--before", str(env["table"]),
+                     "--after", str(out / "dis.vec"), "--seed", "4",
+                     "--out-csv", str(out / "sweep.csv"),
+                     "--report", str(out / "sweep.json")]) == 0
+        return [read(out / name)["results"] for name in ("disentangle.json", "sweep.json")]
+
+    assert results(tmp_path / "one") == results(tmp_path / "two")
+
+
 def test_pca_coords_command(env, tmp_path):
     out_csv = tmp_path / "coords.csv"
     report = tmp_path / "pca.json"

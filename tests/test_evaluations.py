@@ -273,6 +273,39 @@ def test_analogy_scale_invariance():
     assert analogy_accuracy(questions, table) == analogy_accuracy(questions, scaled)
 
 
+def _unit_copy_winners(questions, table):
+    """Reference: top candidate per question, scored against a normalized
+    copy of the whole table (the form the copy-free scoring replaced)."""
+    norms = np.linalg.norm(table.matrix, axis=1)
+    usable = norms > 0.0
+    unit = np.zeros_like(table.matrix)
+    unit[usable] = table.matrix[usable] / norms[usable, None]
+    index = {w: i for i, w in enumerate(table.words)}
+    winners = []
+    for q in questions:
+        ra, rb, rc = index[q.a], index[q.b], index[q.c]
+        scores = unit @ (unit[rb] - unit[ra] + unit[rc])
+        scores[~usable] = -math.inf
+        scores[[ra, rb, rc]] = -math.inf
+        winners.append(table.words[int(np.argmax(scores))])
+    return winners
+
+
+def test_analogy_copy_free_scoring_matches_unit_copy():
+    rng = np.random.default_rng(41)
+    words = [f"w{i}" for i in range(400)]
+    matrix = rng.normal(size=(400, 12)) * rng.uniform(0.1, 10.0, size=(400, 1))
+    matrix[[5, 77, 300]] = 0.0
+    table = EmbeddingTable(words, matrix)
+    usable = [w for i, w in enumerate(words) if i not in (5, 77, 300)]
+    # More questions than one scoring chunk, so a chunk boundary is crossed.
+    picks = [rng.choice(len(usable), 3, replace=False) for _ in range(300)]
+    queries = [AnalogyQuestion(usable[i], usable[j], usable[k], "", "s") for i, j, k in picks]
+    winners = _unit_copy_winners(queries, table)
+    questions = [AnalogyQuestion(q.a, q.b, q.c, d, "s") for q, d in zip(queries, winners)]
+    assert analogy_accuracy(questions, table) == (1.0, 300)
+
+
 # --- pairwise gap ----------------------------------------------------------------
 
 GAP_LEXICON = GenderLexicon("xx", ("luna", "casa"), ("sol", "rio"))
