@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 from .association import (AssociationResult, PermutationConfig, PValueMethod,
                           permutation_p, sc_weat, weat)
 from .classifier import LinearModel, TrainConfig, accuracy, decision_direction, train
-from .disentangler import (DisentangleConfig, HyperplaneStack, apply_stack,
-                           load_stack, project_out, run, save_stack)
+from .disentangler import (DisentangleConfig, HyperplaneStack, apply_stack, load_stack,
+                           run, save_stack)
 from .embeddings import EmbeddingTable, cosine, load_table, save_table
 from .errors import (DataError, FormatError, MissingWordsError, NumericError,
                      PipelineError, UndersizedSetError, ZeroVectorError)

@@ -131,6 +131,18 @@ def _stimulus_sets(args, *keys: str) -> list[StimulusSet]:
     return require_sets(load_stimuli(_resolve(args.stimuli)), *keys)
 
 
+def _gender_sample(args, lexicon: GenderLexicon, available, label: str) -> tuple[list[str], list[str]]:
+    """Seeded balanced draw of --per-gender lexicon words per gender among
+    `available`, reduced to the lexicon's coverage there."""
+    if args.per_gender < 1:
+        raise UsageError("--per-gender must be positive")
+    usable = lexicon.restricted_to(available)
+    per_gender = min(args.per_gender, len(usable.feminine), len(usable.masculine))
+    if per_gender < args.per_gender:
+        log.warning("per-gender sample reduced to %d by lexicon coverage", per_gender)
+    return balanced_sample(usable, per_gender, derive_seed(args.seed, label))
+
+
 def _perm_config(args) -> PermutationConfig:
     return PermutationConfig(exact_limit=args.exact_limit, samples=args.p_samples,
                              seed=args.seed)
@@ -322,19 +334,12 @@ def _cmd_sweep(args) -> dict:
     table_before = _table(args, "before", required)
     table_after = _table(args, "after", required)
 
-    shared = set(table_before.words) & set(table_after.words)
-    usable = lexicon.restricted_to(shared)
-    per_gender = min(args.per_gender, len(usable.feminine), len(usable.masculine))
-    if per_gender < 1:
-        raise DataError("no lexicon words shared by both tables")
-    if per_gender < args.per_gender:
-        log.warning("per-gender sample reduced to %d by lexicon coverage", per_gender)
-    fem_words, masc_words = balanced_sample(usable, per_gender,
-                                            derive_seed(args.seed, "sweep-sample"))
+    fem_words, masc_words = _gender_sample(
+        args, lexicon, set(table_before.words) & set(table_after.words), "sweep-sample")
     sweep = sc_gg_sweep(fem_words, masc_words, fem_attrs, masc_attrs,
                         table_before, table_after, on_missing=args.on_missing,
                         min_words=args.min_set_size)
-    results = {"per_gender": per_gender,
+    results = {"per_gender": len(fem_words),
                "attributes": {"feminine": args.attributes_f, "masculine": args.attributes_m},
                **sweep.to_json()}
     if args.out_csv:
@@ -368,10 +373,7 @@ def _cmd_synth(args) -> dict:
 def _cmd_pca_coords(args) -> dict:
     lexicon = _lexicon(args)
     table = _table(args, "embeddings", list(lexicon.feminine + lexicon.masculine))
-    usable = lexicon.restricted_to(table.words)
-    per_gender = min(args.per_gender, len(usable.feminine), len(usable.masculine))
-    fem_words, masc_words = balanced_sample(usable, per_gender,
-                                            derive_seed(args.seed, "pca-sample"))
+    fem_words, masc_words = _gender_sample(args, lexicon, table.words, "pca-sample")
     words = fem_words + masc_words
     genders = ["F"] * len(fem_words) + ["M"] * len(masc_words)
     coords = principal_coordinates(table.rows(words), n_components=2)
@@ -379,7 +381,7 @@ def _cmd_pca_coords(args) -> dict:
     for word, gender, (pc1, pc2) in zip(words, genders, coords):
         lines.append(f"{word},{gender},{float(pc1)!r},{float(pc2)!r}")
     _atomic_write_text(args.out_csv, "\n".join(lines) + "\n")
-    return {"n_words": len(words), "per_gender": per_gender}
+    return {"n_words": len(words), "per_gender": len(fem_words)}
 
 
 # ------------------------------------------------------------------- parser

@@ -7,6 +7,9 @@ table. Accuracy recorded for round k is measured on embeddings already
 projected k times, so the recorded trace lines up with an
 accuracy-per-round curve starting at the raw table.
 
+`run` and `apply_stack` share one kernel, `_project`: it projects one working
+copy of the table in place, block by block, so its only temporary is one block.
+
 Successive directions are not re-orthogonalized: after a projection the
 data lives in the previous direction's orthogonal complement, so new
 directions come out near-orthogonal up to training noise. The cosine
@@ -29,8 +32,12 @@ from .lexicon import GenderLexicon, balanced_sample
 
 log = logging.getLogger(__name__)
 
-UNIT_NORM_TOLERANCE = 1e-6
 CONSECUTIVE_COSINE_WARN = 0.1
+
+# Rows projected per block. A multiple of 4, because the BLAS matrix-vector
+# kernel handles rows in groups of 4: block edges that split a group change
+# the rounding of the per-row products, and with it the results' last bits.
+_PROJECT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -111,26 +118,13 @@ class HyperplaneStack:
         return self.per_iteration_accuracy + (self.final_accuracy,)
 
 
-def project_out(vector: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Remove the component of `vector` along the unit `direction`.
-
-    The result is orthogonal to the direction and never longer than the
-    input. A word carrying no component along the direction is unchanged.
-    """
-    vector = np.asarray(vector, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
-    if vector.shape != direction.shape:
-        raise DataError(f"dimension mismatch: {vector.shape} vs {direction.shape}")
-    norm = float(np.linalg.norm(direction))
-    if abs(norm - 1.0) > UNIT_NORM_TOLERANCE:
-        raise DataError(f"direction is not unit-norm (|1 - norm| = {abs(norm - 1.0):.3g})")
-    return vector - float(vector @ direction) * direction
-
-
-def _project_matrix(matrix: np.ndarray, direction: np.ndarray) -> None:
-    """In-place projection of every row; rows are independent, so any
-    partitioning of the rows yields the same result."""
-    matrix -= np.outer(matrix @ direction, direction)
+def _project(matrix: np.ndarray, directions: np.ndarray) -> None:
+    """Remove each unit direction in turn from every row of `matrix`, in
+    place, `_PROJECT_ROWS` rows at a time."""
+    for start in range(0, matrix.shape[0], _PROJECT_ROWS):
+        block = matrix[start:start + _PROJECT_ROWS]
+        for direction in directions:
+            block -= np.outer(block @ direction, direction)
 
 
 def run(table: EmbeddingTable, lexicon: GenderLexicon,
@@ -149,7 +143,6 @@ def run(table: EmbeddingTable, lexicon: GenderLexicon,
                     "..." if len(missing) > 10 else "")
     usable = lexicon.restricted_to(table.words)
 
-    row_of = {w: i for i, w in enumerate(table.words)}
     work = np.array(table.matrix, dtype=np.float64, copy=True)
     directions: list[np.ndarray] = []
     accuracies: list[float] = []
@@ -160,8 +153,8 @@ def run(table: EmbeddingTable, lexicon: GenderLexicon,
     while True:
         sample_seed = config.seed + (round_index if config.resample else 0)
         feminine, masculine = balanced_sample(usable, config.per_class, sample_seed)
-        fem_rows = work[[row_of[w] for w in feminine]]
-        masc_rows = work[[row_of[w] for w in masculine]]
+        fem_rows = work[[table.index_of(w) for w in feminine]]
+        masc_rows = work[[table.index_of(w) for w in masculine]]
         round_config = replace(config.classifier, seed=config.classifier.seed + round_index)
         model = train(fem_rows, masc_rows, round_config)
         acc = model.holdout_accuracy
@@ -176,7 +169,7 @@ def run(table: EmbeddingTable, lexicon: GenderLexicon,
             if abs(neighbor) > CONSECUTIVE_COSINE_WARN:
                 log.warning("round %d: |cos| to previous direction is %.3f (> %.2f)",
                             round_index, abs(neighbor), CONSECUTIVE_COSINE_WARN)
-        _project_matrix(work, direction)
+        _project(work, direction[None, :])
         directions.append(direction)
         accuracies.append(acc)
         weight_norms.append(float(np.linalg.norm(model.weights)))
@@ -201,15 +194,15 @@ def apply_stack(table: EmbeddingTable, stack: HyperplaneStack) -> EmbeddingTable
     """Replay the stacked projections, in order, onto another table.
 
     The empty stack is the identity. Applying a stack twice equals applying
-    it once: the vectors are already orthogonal to every direction.
+    it once: the vectors are already orthogonal to every direction. The table
+    is copied once and projected in place, block by block, by `run`'s kernel.
     """
     if len(stack) == 0:
         return table
     if stack.dimension != table.dimension:
         raise DataError(f"dimension mismatch: stack {stack.dimension}, table {table.dimension}")
     work = np.array(table.matrix, dtype=np.float64, copy=True)
-    for direction in stack.directions:
-        _project_matrix(work, direction)
+    _project(work, stack.directions)
     return table.with_matrix(work)
 
 

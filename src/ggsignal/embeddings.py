@@ -86,6 +86,10 @@ class EmbeddingTable:
     def __contains__(self, word: str) -> bool:
         return word in self._index
 
+    def index_of(self, word: str) -> int | None:
+        """Row of `word` in `matrix` (case-sensitive), or None when absent."""
+        return self._index.get(word)
+
     def vector(self, word: str) -> np.ndarray:
         """Vector for `word`. Lookup is case-sensitive, as stimuli are."""
         i = self._index.get(word)
@@ -106,7 +110,7 @@ class EmbeddingTable:
 
     def zero_norm_words(self) -> list[str]:
         """Words whose vector is all-zero (e.g. annihilated by projection)."""
-        return [w for i, w in enumerate(self._words) if not np.any(self._matrix[i])]
+        return [self._words[i] for i in np.flatnonzero(~self._matrix.any(axis=1))]
 
     def with_matrix(self, matrix: np.ndarray) -> "EmbeddingTable":
         """Same vocabulary over a replacement matrix (bulk transform result)."""

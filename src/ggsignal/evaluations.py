@@ -254,10 +254,9 @@ def analogy_accuracy(questions: list[AnalogyQuestion], table: EmbeddingTable,
     usable_row = norms > 0.0
     # Zero rows score 0 / inf = 0 before they are excluded below.
     divisor = np.where(usable_row, norms, inf)
-    index = {w: i for i, w in enumerate(table.words)}
 
     def row(word: str) -> int | None:
-        i = index.get(word)
+        i = table.index_of(word)
         return i if i is not None and usable_row[i] else None
 
     attempted: list[tuple[AnalogyQuestion, int, int, int]] = []

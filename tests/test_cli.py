@@ -482,6 +482,11 @@ def test_permutation_flags_are_usage_errors_where_unread(files, tmp_path, comman
     assert main([*COMMANDS[command](files, tmp_path), flag, "1000"]) == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "pca-coords"])
+def test_non_positive_per_gender_is_a_usage_error(files, tmp_path, command):
+    assert main([*COMMANDS[command](files, tmp_path), "--per-gender", "0"]) == 1
+
+
 @pytest.mark.parametrize("command", ["valnorm", "sweep"])
 def test_trim_to_equal_still_accepted(files, tmp_path, command):
     report = tmp_path / "report.json"

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ggsignal import disentangler
 from ggsignal.classifier import TrainConfig
 from ggsignal.disentangler import (DisentangleConfig, HyperplaneStack, apply_stack,
-                                   load_stack, project_out, run, save_stack)
+                                   load_stack, run, save_stack)
 from ggsignal.embeddings import EmbeddingTable
 from ggsignal.errors import DataError, FormatError
 from ggsignal.synthetic import SynthConfig, generate
@@ -20,6 +23,12 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
+def project(v, d):
+    """`v` with the unit direction `d` removed, by a one-direction stack."""
+    table = EmbeddingTable(["v"], v[None, :])
+    return apply_stack(table, HyperplaneStack(directions=d[None, :])).matrix[0]
+
+
 def small_config(**overrides):
     base = dict(per_class=100, seed=3,
                 classifier=TrainConfig(regularization_strength=0.1, epochs=30, seed=3))
@@ -27,22 +36,15 @@ def small_config(**overrides):
     return DisentangleConfig(**base)
 
 
-def test_project_out_annihilates_parallel_component():
-    assert np.allclose(project_out(np.array([1.0, 0.0]), np.array([1.0, 0.0])), [0.0, 0.0])
-    assert np.allclose(project_out(np.array([3.0, 4.0]), np.array([0.6, 0.8])),
+def test_projection_annihilates_parallel_component():
+    assert np.allclose(project(np.array([1.0, 0.0]), np.array([1.0, 0.0])), [0.0, 0.0])
+    assert np.allclose(project(np.array([3.0, 4.0]), np.array([0.6, 0.8])),
                        [0.0, 0.0], atol=1e-12)
 
 
-def test_project_out_leaves_orthogonal_untouched():
-    out = project_out(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+def test_projection_leaves_orthogonal_untouched():
+    out = project(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     assert np.array_equal(out, [0.0, 1.0])
-
-
-def test_project_out_rejects_non_unit_direction():
-    with pytest.raises(DataError):
-        project_out(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-    with pytest.raises(DataError):
-        project_out(np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -52,8 +54,8 @@ def test_projection_properties(v, d_raw):
     if norm < 1e-6:
         return
     d = d_raw / norm
-    once = project_out(v, d)
-    twice = project_out(once, d)
+    once = project(v, d)
+    twice = project(once, d)
     assert abs(float(once @ d)) <= 1e-9 * max(1.0, np.linalg.norm(v))
     assert np.max(np.abs(twice - once)) <= 1e-9 * max(1.0, np.linalg.norm(v))
     assert np.linalg.norm(once) <= np.linalg.norm(v) + 1e-12
@@ -87,13 +89,46 @@ def test_apply_stack_idempotent_on_run_product():
 def test_apply_stack_orthogonal_complement_preserved():
     rng = np.random.default_rng(5)
     d1, d2 = unit(rng.normal(size=10)), None
-    d2 = unit(project_out(rng.normal(size=10), d1))
+    d2 = unit(project(rng.normal(size=10), d1))
     stack = HyperplaneStack(directions=np.vstack([d1, d2]))
     v = rng.normal(size=10)
-    v = project_out(project_out(v, d1), d2)
+    v = project(project(v, d1), d2)
     table = EmbeddingTable(["v", "pad", "pad2"], np.vstack([v, rng.normal(size=(2, 10))]))
     out = apply_stack(table, stack)
     assert np.max(np.abs(out.vector("v") - v)) <= 1e-9
+
+
+def test_blocked_projection_matches_unblocked_reference(monkeypatch):
+    # 7-row blocks: the table spans many blocks and ends in a ragged tail.
+    monkeypatch.setattr(disentangler, "_PROJECT_ROWS", 7)
+    table, lexicon, _, _ = generate(SynthConfig(
+        dimension=30, per_class=100, signal_strength=6.0, noise_scale=0.3,
+        second_direction_strength=4.0, seed=21))
+    assert len(table) % 7
+    out, stack = run(table, lexicon, small_config())
+    assert len(stack) >= 2
+    assert np.array_equal(out.matrix, apply_stack(table, stack).matrix)
+    reference = np.array(table.matrix)
+    for d in stack.directions:
+        reference -= np.outer(reference @ d, d)
+    assert np.max(np.abs(out.matrix - reference)) <= 1e-12
+
+
+def test_apply_stack_peak_memory_is_one_copy(monkeypatch):
+    monkeypatch.setattr(disentangler, "_PROJECT_ROWS", 64)
+    rng = np.random.default_rng(8)
+    table = EmbeddingTable([f"w{i}" for i in range(2000)], rng.normal(size=(2000, 300)))
+    directions, _ = np.linalg.qr(rng.normal(size=(300, 3)))
+    stack = HyperplaneStack(directions=directions.T)
+    assert len(table) >= 20 * disentangler._PROJECT_ROWS
+    tracemalloc.start()
+    try:
+        out = apply_stack(table, stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.matrix.shape == table.matrix.shape
+    assert peak <= 1.2 * table.matrix.nbytes
 
 
 def test_apply_stack_dimension_mismatch():

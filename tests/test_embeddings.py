@@ -78,6 +78,17 @@ def test_case_sensitive_lookup(tmp_path):
     table = load_table(path)
     with pytest.raises(MissingWordsError):
         table.vector("Word")
+    assert table.index_of("word") == 0
+    assert table.index_of("Word") is None
+
+
+def test_zero_norm_words_in_table_order():
+    matrix = np.ones((6, 3))
+    matrix[0] = [0.0, -0.0, 0.0]
+    matrix[3] = 0.0
+    matrix[5] = -0.0
+    table = EmbeddingTable([f"w{i}" for i in range(6)], matrix)
+    assert table.zero_norm_words() == ["w0", "w3", "w5"]
 
 
 def test_cosine_trivial_values():
