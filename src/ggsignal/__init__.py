@@ -8,7 +8,7 @@ from .association import (AssociationResult, PermutationConfig, PValueMethod,
 from .classifier import LinearModel, TrainConfig, accuracy, decision_direction, train
 from .disentangler import (DisentangleConfig, HyperplaneStack, apply_stack, load_stack,
                            run, save_stack)
-from .embeddings import EmbeddingTable, cosine, load_table, save_table
+from .embeddings import EmbeddingTable, load_table, save_table
 from .errors import (DataError, FormatError, MissingWordsError, NumericError,
                      PipelineError, UndersizedSetError, ZeroVectorError)
 from .evaluations import (GapReduction, GgWeatSpec, SweepRecord, SweepResult,

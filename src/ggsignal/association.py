@@ -78,24 +78,6 @@ class AssociationResult:
         }
 
 
-def _unit_rows(matrix: np.ndarray, words: list[str], context: str,
-               on_missing: str) -> tuple[np.ndarray, list[str]]:
-    """Normalize rows to unit length, handling zero-norm rows by policy."""
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = norms == 0.0
-    if np.any(zero):
-        bad = [w for w, z in zip(words, zero) if z]
-        if on_missing == "drop":
-            log.warning("%s: dropping zero-norm vectors (annihilated words): %s",
-                        context, ", ".join(bad))
-            matrix = matrix[~zero]
-            words = [w for w, z in zip(words, zero) if not z]
-            norms = norms[~zero]
-        else:
-            raise ZeroVectorError(f"{context}: zero-norm vectors for: {', '.join(bad)}")
-    return matrix / norms[:, None], words
-
-
 def _resolve_set(table: EmbeddingTable, stimulus: StimulusSet, *, on_missing: str,
                  min_words: int) -> tuple[np.ndarray, list[str]]:
     """Gather unit vectors for a stimulus set under the missing-word policy.
@@ -117,11 +99,19 @@ def _resolve_set(table: EmbeddingTable, stimulus: StimulusSet, *, on_missing: st
             raise MissingWordsError(f"set {stimulus.name}", absent)
     if not words:
         raise UndersizedSetError(f"set {stimulus.name}: no resolvable words")
-    unit, words = _unit_rows(table.rows(words), words, f"set {stimulus.name}", on_missing)
+    zero = [w for w in words if not table.usable(w)]
+    if zero:
+        if on_missing == "drop":
+            log.warning("set %s: dropping zero-norm vectors (annihilated words): %s",
+                        stimulus.name, ", ".join(zero))
+            words = [w for w in words if table.usable(w)]
+        else:
+            raise ZeroVectorError(f"set {stimulus.name}: zero-norm vectors for: "
+                                  f"{', '.join(zero)}")
     if len(words) < min_words:
         raise UndersizedSetError(
             f"set {stimulus.name} has {len(words)} usable words, minimum is {min_words}")
-    return unit, words
+    return table.unit_rows(words), words
 
 
 def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: StimulusSet,
@@ -137,7 +127,7 @@ def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: Stimu
     """
     a_mat, _ = _resolve_set(table, attributes_a, on_missing=on_missing, min_words=min_words)
     b_mat, _ = _resolve_set(table, attributes_b, on_missing=on_missing, min_words=min_words)
-    units, _ = _unit_rows(table.rows(words), words, "target words", "error")
+    units = table.unit_rows(words)
     cos_a = units @ a_mat.T
     cos_b = units @ b_mat.T
     pooled = np.hstack([cos_a, cos_b])
@@ -267,15 +257,12 @@ def sc_weat(word: str, attributes_a: StimulusSet, attributes_b: StimulusSet,
     cosines to the pooled attributes. The p-value permutes the attribute
     partition, the word fixed.
     """
-    w = table.vector(word)
-    if not np.any(w):
-        raise ZeroVectorError(f"word {word!r} has a zero-norm vector")
+    unit_w = table.unit_rows([word])[0]
     a_mat, a_words = _resolve_set(table, attributes_a, on_missing=on_missing, min_words=min_words)
     b_mat, b_words = _resolve_set(table, attributes_b, on_missing=on_missing, min_words=min_words)
     a_words, b_words, a_mat, b_mat = _equalize_targets(
         a_words, b_words, a_mat, b_mat, trim_to_equal, p_config.seed, min_words)
 
-    unit_w = w / np.linalg.norm(w)
     cos_a = a_mat @ unit_w
     cos_b = b_mat @ unit_w
     pooled = np.concatenate([cos_a, cos_b])

@@ -51,9 +51,6 @@ class LinearModel:
     bias: float
     train_accuracy: float
     holdout_accuracy: float
-    # Hinge+L2 objective at each epoch end, in preconditioned coordinates;
-    # kept for the non-increase diagnostic and run reports.
-    epoch_objectives: tuple[float, ...] = ()
 
 
 def _as_matrix(vectors, name: str) -> np.ndarray:
@@ -112,7 +109,6 @@ def train(positives, negatives, config: TrainConfig = TrainConfig()) -> LinearMo
     u = np.zeros(dim_aug)
     t = 0
     rng_epochs = rng_for(config.seed, "epochs")
-    objectives: list[float] = []
     for _ in range(config.epochs):
         for i in rng_epochs.permutation(n_train):
             t += 1
@@ -122,9 +118,6 @@ def train(positives, negatives, config: TrainConfig = TrainConfig()) -> LinearMo
                 margin = y_train[i] * float(u @ x_train[i]) / (lam * (t - 1))
             if margin < 1.0:
                 u += y_train[i] * x_train[i]
-        w_epoch = u / (lam * t)
-        hinge = np.maximum(0.0, 1.0 - y_train * (x_train @ w_epoch))
-        objectives.append(float(0.5 * lam * (w_epoch @ w_epoch) + hinge.mean()))
 
     w_aug = u / (lam * t)
     weights = w_aug[:-1] / scale
@@ -133,14 +126,14 @@ def train(positives, negatives, config: TrainConfig = TrainConfig()) -> LinearMo
         raise NumericError("training produced a zero weight vector")
 
     model = LinearModel(weights=weights, bias=bias, train_accuracy=0.0,
-                        holdout_accuracy=0.0, epoch_objectives=tuple(objectives))
+                        holdout_accuracy=0.0)
     train_vecs = np.vstack([pos[pos_train_idx], neg[neg_train_idx]])
     hold_vecs = np.vstack([pos[pos_hold_idx], neg[neg_hold_idx]])
     hold_labels = np.concatenate([np.ones(len(pos_hold_idx)), -np.ones(len(neg_hold_idx))])
     train_acc = accuracy(model, train_vecs, y_train)
     hold_acc = accuracy(model, hold_vecs, hold_labels)
     return LinearModel(weights=weights, bias=bias, train_accuracy=train_acc,
-                       holdout_accuracy=hold_acc, epoch_objectives=tuple(objectives))
+                       holdout_accuracy=hold_acc)
 
 
 def accuracy(model: LinearModel, vectors, labels) -> float:

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import TrainConfig, decision_direction, train
-from .embeddings import EmbeddingTable, _parse_header, atomic_open
+from .embeddings import EmbeddingTable, _parse_block, _parse_header, atomic_open
 from .errors import DataError, FormatError
 from .lexicon import GenderLexicon, balanced_sample
 
@@ -216,23 +216,27 @@ def save_stack(stack: HyperplaneStack, path) -> None:
 
 
 def load_stack(path) -> HyperplaneStack:
+    """Read a stack written by `save_stack`.
+
+    Fields and values follow the rules of vector tables (`load_table`), with
+    no word in front; a bad line raises FormatError naming `path:line`.
+    """
     path = Path(path)
     with open(path, encoding="utf-8") as handle:
         count, dim = _parse_header(handle.readline().rstrip("\r\n"), path, min_count=0)
-        rows = []
-        for lineno, line in enumerate(handle, start=2):
-            if not line.strip():
+        texts, linenos = [], []
+        for lineno, raw in enumerate(handle, start=2):
+            line = raw.rstrip("\r\n")
+            if not line:
                 continue
-            values = line.split()
+            values = [t for t in line.split(" ") if t]
             if len(values) != dim:
                 raise FormatError(f"{path}:{lineno}: expected {dim} values")
-            try:
-                rows.append(np.asarray(values, dtype=np.float64))
-            except ValueError:
-                raise FormatError(f"{path}:{lineno}: non-numeric value") from None
-    if len(rows) != count:
-        raise FormatError(f"{path}: header promises {count} directions, found {len(rows)}")
-    directions = np.vstack(rows) if rows else np.zeros((0, dim))
+            texts.append(" ".join(values))
+            linenos.append(lineno)
+    if len(texts) != count:
+        raise FormatError(f"{path}: header promises {count} directions, found {len(texts)}")
+    directions = _parse_block(path, texts, linenos, dim) if texts else np.zeros((0, dim))
     try:
         return HyperplaneStack(directions=directions)
     except ValueError as exc:

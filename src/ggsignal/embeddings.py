@@ -1,12 +1,12 @@
-"""Word-embedding tables: loading, saving, lookup, cosine similarity.
+"""Word-embedding tables: loading, saving, lookup, row norms and unit rows.
 
 The on-disk format is the plain text vector format: a header line
 ``<count> <dimension>`` followed by one ``<word> v1 ... vD`` line per word,
 UTF-8, space separated. Vectors are stored exactly as loaded; nothing is
-pre-normalized, because the projection step operates on raw vectors and
-cosine normalizes on the fly. Every output file of the package is written
-through `atomic_open`, so an interrupted write never leaves a partial file
-under the final name.
+pre-normalized, because the projection step operates on raw vectors. A table
+computes its row norms once, and `unit_rows` divides by them for every cosine.
+Every output file of the package is written through `atomic_open`, so an
+interrupted write never leaves a partial file under the final name.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ log = logging.getLogger(__name__)
 # precision of public vector files. Round-tripping preserves cosines to ~1e-6.
 _SAVE_FORMAT = "%.6g"
 
-# Kept rows are converted to float64 this many at a time, which bounds the
-# value text held in memory.
+# Kept rows are converted to float64, and table rows normed, this many at a
+# time, which bounds the value text and the squares held in memory.
 _BLOCK_ROWS = 4096
 
 # loadtxt strips the information separators U+001C..U+001F around a number as
@@ -44,7 +44,8 @@ class EmbeddingTable:
 
     Immutable after construction; the disentangler produces transformed
     copies rather than mutating in place, so tables are safe to share
-    across threads for reads.
+    across threads for reads. A row whose values are not finite, or whose
+    squares overflow, is rejected.
     """
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray,
@@ -54,8 +55,15 @@ class EmbeddingTable:
             raise FormatError("embedding table needs at least one entry")
         if len(words) != matrix.shape[0]:
             raise FormatError("word list and matrix row count disagree")
-        if not np.all(np.isfinite(matrix)):
-            raise FormatError("embedding table contains non-finite values")
+        norms = np.empty(matrix.shape[0])
+        with np.errstate(over="ignore"):
+            for start in range(0, len(norms), _BLOCK_ROWS):
+                norms[start:start + _BLOCK_ROWS] = np.linalg.norm(
+                    matrix[start:start + _BLOCK_ROWS], axis=1)
+        # A norm is inf or nan exactly when its row holds one or its squares overflow.
+        if not np.isfinite(norms).all():
+            raise FormatError("embedding table contains non-finite values "
+                              "or a row whose norm overflows")
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if w in index:
@@ -65,6 +73,8 @@ class EmbeddingTable:
         self._index = index
         self._matrix = matrix
         self._matrix.setflags(write=False)
+        self._norms = norms
+        self._norms.setflags(write=False)
         self.missing_required = missing_required
 
     @property
@@ -80,6 +90,12 @@ class EmbeddingTable:
         """Read-only (n, dimension) float64 view of all vectors, row per word."""
         return self._matrix
 
+    @property
+    def norms(self) -> np.ndarray:
+        """Read-only norm of each row, computed once; 0 for a row without a
+        direction, all-zero or with squares that underflow."""
+        return self._norms
+
     def __len__(self) -> int:
         return len(self._words)
 
@@ -90,46 +106,47 @@ class EmbeddingTable:
         """Row of `word` in `matrix` (case-sensitive), or None when absent."""
         return self._index.get(word)
 
-    def vector(self, word: str) -> np.ndarray:
-        """Vector for `word`. Lookup is case-sensitive, as stimuli are."""
+    def usable(self, word: str) -> bool:
+        """True when `word` is in the table and its norm is > 0, so that its
+        cosine with another vector is defined."""
         i = self._index.get(word)
-        if i is None:
-            raise MissingWordsError("vector lookup", [word])
-        return self._matrix[i]
+        return i is not None and self._norms[i] > 0.0
 
     def missing(self, words: Iterable[str]) -> list[str]:
         """Subsequence of `words` that have no entry, original order kept."""
         return [w for w in words if w not in self._index]
 
-    def rows(self, words: Sequence[str]) -> np.ndarray:
-        """Stack of vectors for `words`; raises naming any absent word."""
+    def _indices(self, words: Sequence[str]) -> list[int]:
         absent = self.missing(words)
         if absent:
             raise MissingWordsError("row gather", absent)
-        return self._matrix[[self._index[w] for w in words]]
+        return [self._index[w] for w in words]
+
+    def rows(self, words: Sequence[str]) -> np.ndarray:
+        """Stack of vectors for `words` (case-sensitive); raises naming any absent word."""
+        return self._matrix[self._indices(words)]
+
+    def unit_rows(self, words: Sequence[str]) -> np.ndarray:
+        """Stack of the vectors of `words` divided by their norms.
+
+        The dot product of two unit rows is the cosine of their words. Raises
+        MissingWordsError naming absent words and ZeroVectorError naming
+        words whose vector has norm zero.
+        """
+        idx = self._indices(words)
+        norms = self._norms[idx]
+        if not norms.all():
+            zero = [w for w, norm in zip(words, norms) if norm == 0.0]
+            raise ZeroVectorError(f"zero-norm vectors for: {', '.join(zero)}")
+        return self._matrix[idx] / norms[:, None]
 
     def zero_norm_words(self) -> list[str]:
-        """Words whose vector is all-zero (e.g. annihilated by projection)."""
-        return [self._words[i] for i in np.flatnonzero(~self._matrix.any(axis=1))]
+        """Words whose vector has norm zero (e.g. annihilated by projection)."""
+        return [self._words[i] for i in np.flatnonzero(self._norms == 0.0)]
 
     def with_matrix(self, matrix: np.ndarray) -> "EmbeddingTable":
         """Same vocabulary over a replacement matrix (bulk transform result)."""
         return EmbeddingTable(self._words, matrix)
-
-
-def cosine(a, b) -> float:
-    """Cosine similarity of two array-like vectors.
-
-    Raises ZeroVectorError for an all-zero argument: a zero norm signals a
-    word annihilated by projection and must not pass silently as 0.0.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    na = math.sqrt(float(va @ va))
-    nb = math.sqrt(float(vb @ vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("zero-norm vector in cosine")
-    return float(va @ vb) / (na * nb)
 
 
 def _parse_header(line: str, path: Path, min_count: int = 1) -> tuple[int, int]:

@@ -37,4 +37,4 @@ class NumericError(PipelineError):
 
 
 class ZeroVectorError(NumericError):
-    """Cosine similarity was requested for an all-zero vector."""
+    """A cosine was requested for a vector of norm zero, which has no direction."""

@@ -15,7 +15,7 @@ from math import inf, isfinite
 import numpy as np
 
 from .association import AssociationResult, PermutationConfig, sc_effect_sizes, weat
-from .embeddings import EmbeddingTable, cosine
+from .embeddings import EmbeddingTable
 from .errors import DataError, MissingWordsError, NumericError
 from .lexicon import (FEMININE, MASCULINE, MIN_SET_WORDS, AnalogyQuestion,
                       GenderLexicon, SimilarityPair, StimulusSet, ValenceNorm)
@@ -158,8 +158,7 @@ def sc_gg_sweep(feminine_words: list[str], masculine_words: list[str],
     kept_genders: list[str] = []
     for word, gender in zip(words, genders):
         resolvable = word in table_before and word in table_after
-        zero = resolvable and (not np.any(table_before.vector(word))
-                               or not np.any(table_after.vector(word)))
+        zero = resolvable and not (table_before.usable(word) and table_after.usable(word))
         if not resolvable or zero:
             if on_missing == "drop":
                 log.warning("sweep: dropping %r (%s)", word,
@@ -212,13 +211,8 @@ def valnorm(norms: list[ValenceNorm], pleasant: StimulusSet, unpleasant: Stimulu
     pleasant/unpleasant sets). Norm words without a usable vector are
     dropped and counted; at least 3 must remain.
     """
-    usable: list[ValenceNorm] = []
-    dropped = 0
-    for norm in norms:
-        if norm.word in table and np.any(table.vector(norm.word)):
-            usable.append(norm)
-        else:
-            dropped += 1
+    usable = [norm for norm in norms if table.usable(norm.word)]
+    dropped = len(norms) - len(usable)
     if dropped:
         log.info("valence norms: %d of %d words unresolvable, dropped", dropped, len(norms))
     if len(usable) < 3:
@@ -249,15 +243,13 @@ def analogy_accuracy(questions: list[AnalogyQuestion], table: EmbeddingTable,
     if not pool:
         raise DataError("no analogy questions after section filtering")
 
-    matrix = table.matrix
-    norms = np.linalg.norm(matrix, axis=1)
+    matrix, norms = table.matrix, table.norms
     usable_row = norms > 0.0
     # Zero rows score 0 / inf = 0 before they are excluded below.
     divisor = np.where(usable_row, norms, inf)
 
     def row(word: str) -> int | None:
-        i = table.index_of(word)
-        return i if i is not None and usable_row[i] else None
+        return table.index_of(word) if table.usable(word) else None
 
     attempted: list[tuple[AnalogyQuestion, int, int, int]] = []
     dropped = 0
@@ -344,57 +336,53 @@ def pairwise_gap(pairs_gendered: list[SimilarityPair], pairs_english: list[Simil
         raise DataError(f"pair lists must be aligned: {len(pairs_gendered)} gendered "
                         f"vs {len(pairs_english)} English pairs")
 
-    def usable(table: EmbeddingTable, word: str) -> bool:
-        return word in table and bool(np.any(table.vector(word)))
-
-    same_raw, diff_raw = [], []
-    same_dis, diff_dis = [], []
-    same_en, diff_en = [], []
-    skipped = 0
+    kept: list[tuple[SimilarityPair, SimilarityPair]] = []
+    same: list[bool] = []
     for gendered, english in zip(pairs_gendered, pairs_english):
         gender_a = _pair_gender(gendered.word_a, gendered.gender_a, lexicon)
         gender_b = _pair_gender(gendered.word_b, gendered.gender_b, lexicon)
-        words_ok = (gender_a is not None and gender_b is not None
-                    and all(usable(table_raw, w) and usable(table_disentangled, w)
-                            for w in (gendered.word_a, gendered.word_b))
-                    and all(usable(table_english, w)
-                            for w in (english.word_a, english.word_b)))
-        if not words_ok:
-            skipped += 1
-            continue
-        raw = cosine(table_raw.vector(gendered.word_a), table_raw.vector(gendered.word_b))
-        dis = cosine(table_disentangled.vector(gendered.word_a),
-                     table_disentangled.vector(gendered.word_b))
-        eng = cosine(table_english.vector(english.word_a), table_english.vector(english.word_b))
-        if gender_a == gender_b:
-            same_raw.append(raw)
-            same_dis.append(dis)
-            same_en.append(eng)
-        else:
-            diff_raw.append(raw)
-            diff_dis.append(dis)
-            diff_en.append(eng)
-    if not same_raw or not diff_raw:
+        if (gender_a is not None and gender_b is not None
+                and all(table_raw.usable(w) and table_disentangled.usable(w)
+                        for w in (gendered.word_a, gendered.word_b))
+                and table_english.usable(english.word_a)
+                and table_english.usable(english.word_b)):
+            kept.append((gendered, english))
+            same.append(gender_a == gender_b)
+    n_same = sum(same)
+    n_diff = len(same) - n_same
+    if not n_same or not n_diff:
         raise DataError(f"need both same-gender and different-gender pairs "
-                        f"({len(same_raw)} same, {len(diff_raw)} different usable)")
+                        f"({n_same} same, {n_diff} different usable)")
+    skipped = len(pairs_gendered) - len(kept)
     if skipped:
         log.info("pairwise gap: %d of %d pairs skipped", skipped, len(pairs_gendered))
 
-    gap_raw = float(np.mean(same_raw) - np.mean(diff_raw))
-    gap_dis = float(np.mean(same_dis) - np.mean(diff_dis))
-    gap_en = float(np.mean(same_en) - np.mean(diff_en))
+    is_same = np.array(same)
+
+    def mean_cosines(table: EmbeddingTable, side: int) -> tuple[float, float]:
+        """Mean same-gender and mean different-gender cosine of one side's pairs."""
+        pairs = [p[side] for p in kept]
+        cos = (table.unit_rows([p.word_a for p in pairs])
+               * table.unit_rows([p.word_b for p in pairs])).sum(axis=1)
+        return float(np.mean(cos[is_same])), float(np.mean(cos[~is_same]))
+
+    same_raw, diff_raw = mean_cosines(table_raw, 0)
+    same_dis, diff_dis = mean_cosines(table_disentangled, 0)
+    same_en, diff_en = mean_cosines(table_english, 1)
+    gap_raw = same_raw - diff_raw
+    gap_dis = same_dis - diff_dis
+    gap_en = same_en - diff_en
     if gap_raw == gap_en:
         reduction = None
         log.warning("raw gap equals the English gap; reduction undefined")
     else:
         reduction = 1.0 - (gap_dis - gap_en) / (gap_raw - gap_en)
     return GapReduction(
-        avg_same_raw=float(np.mean(same_raw)), avg_diff_raw=float(np.mean(diff_raw)),
-        avg_same_disentangled=float(np.mean(same_dis)),
-        avg_diff_disentangled=float(np.mean(diff_dis)),
-        avg_same_english=float(np.mean(same_en)), avg_diff_english=float(np.mean(diff_en)),
+        avg_same_raw=same_raw, avg_diff_raw=diff_raw,
+        avg_same_disentangled=same_dis, avg_diff_disentangled=diff_dis,
+        avg_same_english=same_en, avg_diff_english=diff_en,
         gap_raw=gap_raw, gap_disentangled=gap_dis, gap_english=gap_en,
-        reduction=reduction, n_same=len(same_raw), n_diff=len(diff_raw), n_skipped=skipped)
+        reduction=reduction, n_same=n_same, n_diff=n_diff, n_skipped=skipped)
 
 
 def principal_coordinates(matrix: np.ndarray, n_components: int = 2) -> np.ndarray:

@@ -130,7 +130,7 @@ def test_criterion_2_fixture_oracle_suite(fixture_table, fixture_stimuli):
     started = time.monotonic()
     with criterion(2, "fixture oracle suite"):
         # frozen spreadsheet-oracle values, recomputed live by pure python
-        vec = lambda w: tuple(fixture_table.vector(w))
+        vec = lambda w: tuple(fixture_table.rows([w])[0])
         xx = [vec(f"x{i}") for i in range(1, 9)]
         yy = [vec(f"y{i}") for i in range(1, 9)]
         aa = [vec(f"a{i}") for i in range(1, 9)]
@@ -169,8 +169,8 @@ def test_criterion_2_fixture_oracle_suite(fixture_table, fixture_stimuli):
         def loop_gap(table, pairs, kinds):
             sums = {"same": [], "diff": []}
             for p, kind in zip(pairs, kinds):
-                u = [float(v) for v in table.vector(p.word_a)]
-                w = [float(v) for v in table.vector(p.word_b)]
+                u = [float(v) for v in table.rows([p.word_a])[0]]
+                w = [float(v) for v in table.rows([p.word_b])[0]]
                 dot = sum(ui * wi for ui, wi in zip(u, w))
                 nu = math.sqrt(sum(ui * ui for ui in u))
                 nw = math.sqrt(sum(wi * wi for wi in w))

@@ -79,7 +79,7 @@ def oracle_sc(w, aa, bb):
 
 
 def fixture_vectors(table, prefix, count):
-    return [tuple(table.vector(f"{prefix}{i}")) for i in range(1, count + 1)]
+    return [tuple(table.rows([f"{prefix}{i}"])[0]) for i in range(1, count + 1)]
 
 
 # --- single-category effect sizes -------------------------------------------
@@ -153,7 +153,7 @@ def test_sc_weat_matches_frozen_fixture_oracle(fixture_table, fixture_stimuli):
     assert result.statistic == pytest.approx(FIXTURE_SC_STAT, abs=1e-9)
     assert result.p_value == FIXTURE_SC_P
     live_d, live_stat, live_p = oracle_sc(
-        tuple(fixture_table.vector("w0")),
+        tuple(fixture_table.rows(["w0"])[0]),
         fixture_vectors(fixture_table, "sa", 5), fixture_vectors(fixture_table, "sb", 5))
     assert result.effect_size == pytest.approx(live_d, abs=1e-12)
     assert result.p_value == live_p

@@ -102,13 +102,6 @@ def test_separable_data_reaches_zero_training_error():
     assert model.train_accuracy == 1.0
 
 
-def test_hinge_objective_final_not_above_initial():
-    pos, neg = clusters(separation=2.0, spread=1.0, seed=8)
-    model = train(pos, neg, TrainConfig(seed=9))
-    assert len(model.epoch_objectives) == TrainConfig().epochs
-    assert model.epoch_objectives[-1] <= model.epoch_objectives[0]
-
-
 def test_planted_direction_recovery():
     table, lexicon, planted, _ = generate(SynthConfig(
         dimension=50, per_class=300, signal_strength=5.0, noise_scale=0.5, seed=21))

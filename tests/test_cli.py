@@ -162,6 +162,22 @@ def test_sc_weat_runs_per_condition(env, tmp_path):
     assert abs(results["after"]["effect_size"]) < abs(results["before"]["effect_size"])
 
 
+def test_sc_weat_word_without_direction_is_numeric_failure(tmp_path, capsys):
+    # 1e-170 is non-zero, but its square underflows: the vector has norm zero.
+    vec = tmp_path / "tiny.vec"
+    header, *rows = (DATA / "fixture_2d.vec").read_text(encoding="utf-8").splitlines()
+    count, dim = header.split()
+    vec.write_text("\n".join([f"{int(count) + 1} {dim}", *rows, "tiny 1e-170 1e-170"]) + "\n",
+                   encoding="utf-8")
+    report = tmp_path / "r.json"
+    assert main(["sc-weat", "--stimuli", str(DATA / "fixture_2d_stimuli.txt"),
+                 "--word", "tiny", "--attributes-a", "fixture.sc.a",
+                 "--attributes-b", "fixture.sc.b", "--min-set-size", "5",
+                 "--embeddings", str(vec), "--report", str(report)]) == 3
+    assert "tiny" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_gg_weat_command_builds_targets(env, tmp_path):
     fem, masc = env["fem"], env["masc"]
     pairs = tmp_path / "pairs.tsv"

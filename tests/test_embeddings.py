@@ -7,8 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggsignal import embeddings
-from ggsignal.embeddings import EmbeddingTable, atomic_open, cosine, load_table, save_table
+from ggsignal.disentangler import load_stack
+from ggsignal.embeddings import EmbeddingTable, atomic_open, load_table, save_table
 from ggsignal.errors import FormatError, MissingWordsError, ZeroVectorError
+
+
+def cosine(a, b) -> float:
+    """Cosine of two vectors through the table's unit rows."""
+    unit = EmbeddingTable(["a", "b"], np.array([a, b], dtype=np.float64)).unit_rows(["a", "b"])
+    return float(unit[0] @ unit[1])
 
 
 def test_load_two_entry_file(tmp_path):
@@ -47,7 +54,7 @@ def test_duplicates_keep_first(tmp_path):
     path.write_text("3 2\na 1 0\na 9 9\nb 0 1\n", encoding="utf-8")
     table = load_table(path)
     assert list(table.words) == ["a", "b"]
-    assert np.allclose(table.vector("a"), [1, 0])
+    assert np.allclose(table.rows(["a"])[0], [1, 0])
 
 
 def test_crlf_and_trailing_newline_tolerated(tmp_path):
@@ -77,18 +84,20 @@ def test_case_sensitive_lookup(tmp_path):
     path.write_text("1 2\nword 1 0\n", encoding="utf-8")
     table = load_table(path)
     with pytest.raises(MissingWordsError):
-        table.vector("Word")
+        table.rows(["Word"])
     assert table.index_of("word") == 0
     assert table.index_of("Word") is None
 
 
 def test_zero_norm_words_in_table_order():
-    matrix = np.ones((6, 3))
+    matrix = np.ones((7, 3))
     matrix[0] = [0.0, -0.0, 0.0]
     matrix[3] = 0.0
     matrix[5] = -0.0
-    table = EmbeddingTable([f"w{i}" for i in range(6)], matrix)
-    assert table.zero_norm_words() == ["w0", "w3", "w5"]
+    matrix[6] = 1e-170  # non-zero values whose squares underflow: no direction
+    table = EmbeddingTable([f"w{i}" for i in range(7)], matrix)
+    assert table.zero_norm_words() == ["w0", "w3", "w5", "w6"]
+    assert [table.usable(w) for w in ("w1", "w6", "ghost")] == [True, False, False]
 
 
 def test_cosine_trivial_values():
@@ -129,8 +138,8 @@ def test_round_trip_preserves_vocabulary_and_cosines(tmp_path):
     assert back.words == table.words
     for i in range(0, 40, 7):
         for j in range(1, 40, 11):
-            before = cosine(table.vector(words[i]), table.vector(words[j]))
-            after = cosine(back.vector(words[i]), back.vector(words[j]))
+            before = cosine(table.rows([words[i]])[0], table.rows([words[j]])[0])
+            after = cosine(back.rows([words[i]])[0], back.rows([words[j]])[0])
             assert after == pytest.approx(before, abs=1e-5)
 
 
@@ -187,6 +196,8 @@ def test_table_rejects_duplicates_and_nonfinite():
         EmbeddingTable(["a", "a"], [[1.0], [2.0]])
     with pytest.raises(FormatError):
         EmbeddingTable(["a"], [[float("nan")]])
+    with pytest.raises(FormatError):  # finite values whose squared norm overflows
+        EmbeddingTable(["a"], [[1e200, 1e200]])
 
 
 def test_rows_names_missing_words(fixture_table):
@@ -312,9 +323,11 @@ def test_load_matches_per_row_reference(tmp_path_factory, text, vocab_limit, req
     assert np.array_equal(actual.matrix.view(np.int64), expected.matrix.view(np.int64))
 
 
+# Values stay within +-1e150 because a table rejects a row whose squared norm
+# overflows; test_table_rejects_duplicates_and_nonfinite covers that.
 @settings(max_examples=100, deadline=None)
 @given(matrix=st.integers(1, 5).flatmap(lambda dim: st.lists(
-           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=dim,
+           st.lists(st.floats(min_value=-1e150, max_value=1e150), min_size=dim,
                     max_size=dim), min_size=1, max_size=6)),
        names=st.lists(st.text(alphabet="abcé\xa0", min_size=1, max_size=4),
                       min_size=6, max_size=6, unique=True))
@@ -343,14 +356,24 @@ def test_block_boundaries_match_reference(tmp_path, monkeypatch):
         load_table(path)
 
 
-@pytest.mark.parametrize("value", ["1_0", "1e1_0", "١", "１", "1٢"])
-def test_digit_separators_and_non_ascii_digits_rejected(tmp_path, value):
-    # float() reads these; the table format accepts ASCII digits only.
+DIGIT_VALUES = ["1_0", "1e1_0", "١", "１", "1٢"]
+
+
+@pytest.mark.parametrize("loader, value", [
+    *[pytest.param("table", v, id=v) for v in DIGIT_VALUES],
+    *[pytest.param("stack", v, id=f"stack-{v}") for v in DIGIT_VALUES]])
+def test_digit_separators_and_non_ascii_digits_rejected(tmp_path, loader, value):
+    # float() reads these; tables and stacks accept ASCII digits only.
     path = tmp_path / "t.vec"
-    path.write_text(f"2 2\na 1 0\nb 0 {value}\n", encoding="utf-8")
-    assert reference_load(path).words == ("a", "b")
+    if loader == "table":
+        path.write_text(f"2 2\na 1 0\nb 0 {value}\n", encoding="utf-8")
+        assert reference_load(path).words == ("a", "b")
+        load = load_table
+    else:
+        path.write_text(f"2 2\n1 0\n0 {value}\n", encoding="utf-8")
+        load = load_stack
     with pytest.raises(FormatError, match=rf"{path}:3: non-numeric value"):
-        load_table(path)
+        load(path)
 
 
 @pytest.mark.parametrize("count, rows", [(3, "a 1 0\nb 0 1\n"),

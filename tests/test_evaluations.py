@@ -19,6 +19,13 @@ def pair(a, b, score, ga=None, gb=None):
     return SimilarityPair(a, b, score, ga, gb)
 
 
+def with_tiny(table):
+    """`table` plus a word "tiny" whose non-zero values have squares that
+    underflow, so that its norm is zero."""
+    return EmbeddingTable([*table.words, "tiny"],
+                          np.vstack([table.matrix, np.full(table.dimension, 1e-170)]))
+
+
 LEXICON = GenderLexicon(
     "it",
     ("molecola", "casa", "luna", "pietra", "sedia", "porta", "strada", "nave",
@@ -159,6 +166,14 @@ def test_sweep_sign_convention_feminine_positive():
     assert np.mean(masc_scores) < -0.5
 
 
+def test_sweep_drop_policy_drops_words_without_direction():
+    table, _, fem_attrs, masc_attrs, fem_sample, masc_sample = sweep_setup()
+    table = with_tiny(table)
+    result = sc_gg_sweep(fem_sample + ["tiny"], masc_sample, fem_attrs, masc_attrs,
+                         table, table, on_missing="drop")
+    assert [r.word for r in result.records] == fem_sample + masc_sample
+
+
 def test_sweep_empty_sample_rejected():
     table, _, fem_attrs, masc_attrs, *_ = sweep_setup()
     with pytest.raises(DataError):
@@ -202,6 +217,9 @@ def test_valnorm_drops_missing_words_and_counts(fixture_table, fixture_stimuli):
     norms.append(ValenceNorm("notaword", 9.0))
     r, n = valnorm(norms, pleasant, unpleasant, fixture_table)
     assert n == len(words)
+    norms.append(ValenceNorm("tiny", 7.0))
+    assert valnorm(norms, pleasant, unpleasant, with_tiny(fixture_table),
+                   on_missing="drop") == (r, n)
 
 
 def test_valnorm_too_few_words_rejected(fixture_table, fixture_stimuli):
@@ -334,7 +352,7 @@ def gap_tables(seed=31):
 
 def brute_force_gap(table, pairs, split):
     sums = {"same": [], "diff": []}
-    vec = {w: list(table.vector(w)) for p in pairs for w in (p.word_a, p.word_b)}
+    vec = {w: list(table.rows([w])[0]) for p in pairs for w in (p.word_a, p.word_b)}
     for p, kind in zip(pairs, split):
         a, b = vec[p.word_a], vec[p.word_b]
         dot = sum(x * y for x, y in zip(a, b))
@@ -370,7 +388,7 @@ def test_pairwise_gap_full_closure_gives_one():
     gendered, _, english = gap_tables()
     # disentangled table reproduces the English geometry exactly
     mapping = {"luna": "moon", "casa": "house", "sol": "sun", "rio": "river"}
-    matrix = np.vstack([english.vector(mapping[w]) for w in ("luna", "casa", "sol", "rio")])
+    matrix = english.rows([mapping[w] for w in ("luna", "casa", "sol", "rio")])
     closed = EmbeddingTable(["luna", "casa", "sol", "rio"], matrix)
     gap = pairwise_gap(GENDERED_PAIRS, ENGLISH_PAIRS, GAP_LEXICON,
                        gendered, closed, english)
@@ -380,7 +398,7 @@ def test_pairwise_gap_full_closure_gives_one():
 def test_pairwise_gap_undefined_reduction_reported_as_none():
     gendered, _, english = gap_tables()
     mapping = {"moon": "luna", "house": "casa", "sun": "sol", "river": "rio"}
-    matrix = np.vstack([gendered.vector(mapping[w]) for w in ("moon", "house", "sun", "river")])
+    matrix = gendered.rows([mapping[w] for w in ("moon", "house", "sun", "river")])
     mirrored_english = EmbeddingTable(["moon", "house", "sun", "river"], matrix)
     gap = pairwise_gap(GENDERED_PAIRS, ENGLISH_PAIRS, GAP_LEXICON,
                        gendered, gendered, mirrored_english)
@@ -400,6 +418,17 @@ def test_pairwise_gap_skips_non_lexicon_pairs():
     extra_e = ENGLISH_PAIRS + [pair("mother", "father", 5.0)]
     gap = pairwise_gap(extra_g, extra_e, GAP_LEXICON, gendered, disentangled, english)
     assert gap.n_skipped == 1
+
+
+def test_pairwise_gap_skips_pairs_without_direction():
+    gendered, disentangled, english = gap_tables()
+    base = pairwise_gap(GENDERED_PAIRS, ENGLISH_PAIRS, GAP_LEXICON,
+                        gendered, disentangled, english)
+    gap = pairwise_gap(GENDERED_PAIRS + [pair("luna", "rio", 5.0)],
+                       ENGLISH_PAIRS + [pair("moon", "tiny", 5.0)], GAP_LEXICON,
+                       gendered, disentangled, with_tiny(english))
+    assert gap.n_skipped == 1
+    assert gap.to_json() == {**base.to_json(), "n_skipped": 1}
 
 
 # --- principal coordinates --------------------------------------------------------
