@@ -4,7 +4,10 @@
 Drives the ggsignal CLI end to end: disentangle the embeddings, then run
 every measurement command before/after, leaving all JSON reports and CSV
 side files in the output directory. Expects the data layout described in
-REPRODUCING.md.
+REPRODUCING.md. Every stimulus set the commands name is checked against
+the packaged stimulus file before the first command runs; `valnorm` is
+skipped, with a message, when the valence file or the language's
+pleasant/unpleasant sets are absent.
 
 Example:
     python scripts/run_reproduction.py --data-dir ~/ggdata --lang es --out runs/es
@@ -14,7 +17,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from ggsignal.cli import main as ggsignal_main
+from ggsignal.cli import _default_stimuli_path, main as ggsignal_main
+from ggsignal.lexicon import load_stimuli
+
+# Flags whose value names a stimulus set of the packaged stimulus file.
+SET_FLAGS = ("--targets-x", "--targets-y", "--attributes-a", "--attributes-b",
+             "--attributes-f", "--attributes-m", "--pleasant", "--unpleasant")
 
 
 def invoke(argv: list[str]) -> None:
@@ -22,6 +30,12 @@ def invoke(argv: list[str]) -> None:
     code = ggsignal_main(argv)
     if code != 0:
         raise SystemExit(f"command failed with exit code {code}")
+
+
+def unpackaged_sets(argv: list[str], packaged) -> list[str]:
+    """Values of SET_FLAGS in `argv` that name no set in `packaged`."""
+    return [value for flag, value in zip(argv, argv[1:])
+            if flag in SET_FLAGS and value not in packaged]
 
 
 def main() -> int:
@@ -48,59 +62,71 @@ def main() -> int:
     simlex_en = data / f"simlex/{lang}_english.tsv"
     disentangled = out / f"cc.{lang}.300.disentangled.vec"
 
-    invoke(["disentangle", "--embeddings", str(raw), "--lexicon", str(lexicon),
-            "--animacy", str(animacy), "--vocab-limit", limit,
-            "--seed", seed, "--language", lang,
-            "--out-embeddings", str(disentangled),
-            "--out-stack", str(out / "stack.txt"),
-            "--report", str(out / "disentangle.json")])
-
     before_after = ["--before", str(raw), "--after", str(disentangled),
                     "--vocab-limit", limit, "--seed", seed, "--language", lang]
     loose = ["--on-missing", "drop", "--min-set-size", "5", "--trim-to-equal"]
+    commands = [
+        ["disentangle", "--embeddings", str(raw), "--lexicon", str(lexicon),
+         "--animacy", str(animacy), "--vocab-limit", limit,
+         "--seed", seed, "--language", lang,
+         "--out-embeddings", str(disentangled),
+         "--out-stack", str(out / "stack.txt"),
+         "--report", str(out / "disentangle.json")],
+        ["weat", "--targets-x", f"{lang}.gens.science",
+         "--targets-y", f"{lang}.gens.humanities",
+         "--attributes-a", f"{lang}.gens.men", "--attributes-b", f"{lang}.gens.women",
+         *before_after, *loose, "--report", str(out / "gens.json")],
+        ["weat", "--targets-x", f"{lang}.genc.men", "--targets-y", f"{lang}.genc.women",
+         "--attributes-a", f"{lang}.genc.career", "--attributes-b", f"{lang}.genc.family",
+         *before_after, *loose, "--report", str(out / "genc.json")],
+        ["gg-weat", "--pairs", str(simlex), "--lexicon", str(lexicon),
+         "--animacy", str(animacy),
+         "--attributes-a", f"{lang}.gens.women", "--attributes-b", f"{lang}.gens.men",
+         *before_after, *loose, "--report", str(out / "gg_weat.json")],
+        ["sweep", "--lexicon", str(lexicon), "--animacy", str(animacy),
+         "--attributes-f", f"{lang}.gens.women", "--attributes-m", f"{lang}.gens.men",
+         "--per-gender", "2000", *before_after, *loose,
+         "--out-csv", str(out / "sweep.csv"), "--report", str(out / "sweep.json")],
+        ["pairdist", "--pairs-gendered", str(simlex), "--pairs-english", str(simlex_en),
+         "--lexicon", str(lexicon), "--animacy", str(animacy),
+         "--raw", str(raw), "--disentangled", str(disentangled),
+         "--english", str(english), "--vocab-limit", limit,
+         "--seed", seed, "--language", lang,
+         "--report", str(out / "pairdist.json")],
+        ["pca-coords", "--embeddings", str(raw), "--lexicon", str(lexicon),
+         "--animacy", str(animacy), "--vocab-limit", limit, "--per-gender", "500",
+         "--seed", seed, "--out-csv", str(out / "pca_before.csv"),
+         "--report", str(out / "pca_before.json")],
+        ["pca-coords", "--embeddings", str(disentangled), "--lexicon", str(lexicon),
+         "--animacy", str(animacy), "--per-gender", "500",
+         "--seed", seed, "--out-csv", str(out / "pca_after.csv"),
+         "--report", str(out / "pca_after.json")],
+    ]
 
-    invoke(["weat", "--targets-x", f"{lang}.gens.science",
-            "--targets-y", f"{lang}.gens.humanities",
-            "--attributes-a", f"{lang}.gens.men", "--attributes-b", f"{lang}.gens.women",
-            *before_after, *loose, "--report", str(out / "gens.json")])
-    invoke(["weat", "--targets-x", f"{lang}.genc.men", "--targets-y", f"{lang}.genc.women",
-            "--attributes-a", f"{lang}.genc.career", "--attributes-b", f"{lang}.genc.family",
-            *before_after, *loose, "--report", str(out / "genc.json")])
-    invoke(["gg-weat", "--pairs", str(simlex), "--lexicon", str(lexicon),
-            "--animacy", str(animacy),
-            "--attributes-a", f"{lang}.gens.women", "--attributes-b", f"{lang}.gens.men",
-            *before_after, *loose, "--report", str(out / "gg_weat.json")])
-    invoke(["sweep", "--lexicon", str(lexicon), "--animacy", str(animacy),
-            "--attributes-f", f"{lang}.gens.women", "--attributes-m", f"{lang}.gens.men",
-            "--per-gender", "2000", *before_after, *loose,
-            "--out-csv", str(out / "sweep.csv"), "--report", str(out / "sweep.json")])
-    invoke(["pairdist", "--pairs-gendered", str(simlex), "--pairs-english", str(simlex_en),
-            "--lexicon", str(lexicon), "--animacy", str(animacy),
-            "--raw", str(raw), "--disentangled", str(disentangled),
-            "--english", str(english), "--vocab-limit", limit,
-            "--seed", seed, "--language", lang,
-            "--report", str(out / "pairdist.json")])
-    invoke(["pca-coords", "--embeddings", str(raw), "--lexicon", str(lexicon),
-            "--animacy", str(animacy), "--vocab-limit", limit, "--per-gender", "500",
-            "--seed", seed, "--out-csv", str(out / "pca_before.csv"),
-            "--report", str(out / "pca_before.json")])
-    invoke(["pca-coords", "--embeddings", str(disentangled), "--lexicon", str(lexicon),
-            "--animacy", str(animacy), "--per-gender", "500",
-            "--seed", seed, "--out-csv", str(out / "pca_after.csv"),
-            "--report", str(out / "pca_after.json")])
-
+    packaged = load_stimuli(_default_stimuli_path())
     valence = data / f"valence/{lang}.tsv"
-    if valence.exists():
-        invoke(["valnorm", "--norms", str(valence),
-                "--pleasant", f"{lang}.base.pleasant",
-                "--unpleasant", f"{lang}.base.unpleasant",
-                *before_after, *loose, "--report", str(out / "valnorm.json")])
+    valnorm = ["valnorm", "--norms", str(valence),
+               "--pleasant", f"{lang}.base.pleasant",
+               "--unpleasant", f"{lang}.base.unpleasant",
+               *before_after, *loose, "--report", str(out / "valnorm.json")]
+    unpackaged = unpackaged_sets(valnorm, packaged)
+    if not valence.exists():
+        print(f"skipping valnorm: {valence} not found")
+    elif unpackaged:
+        print(f"skipping valnorm: packaged stimuli lack {', '.join(unpackaged)}")
+    else:
+        commands.append(valnorm)
     analogy = data / f"analogy/{lang}.txt"
     if analogy.exists():
-        invoke(["analogy", "--questions", str(analogy),
-                "--sections", "family,capital-common-countries",
-                *before_after, "--report", str(out / "analogy.json")])
+        commands.append(["analogy", "--questions", str(analogy),
+                         "--sections", "family,capital-common-countries",
+                         *before_after, "--report", str(out / "analogy.json")])
 
+    unpackaged = [key for argv in commands for key in unpackaged_sets(argv, packaged)]
+    if unpackaged:
+        raise SystemExit(f"packaged stimuli lack sets: {', '.join(unpackaged)}")
+    for argv in commands:
+        invoke(argv)
     print(f"all reports in {out}")
     return 0
 

@@ -32,8 +32,7 @@ from math import comb
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import (DataError, MissingWordsError, NumericError,
-                     UndersizedSetError, ZeroVectorError)
+from .errors import DataError, NumericError, UndersizedSetError
 from .lexicon import MIN_SET_WORDS, StimulusSet
 from .seeding import rng_for
 
@@ -79,39 +78,18 @@ class AssociationResult:
 
 
 def _resolve_set(table: EmbeddingTable, stimulus: StimulusSet, *, on_missing: str,
-                 min_words: int) -> tuple[np.ndarray, list[str]]:
-    """Gather unit vectors for a stimulus set under the missing-word policy.
-
-    Default policy aborts on any unresolvable word, naming it; "drop" removes
-    missing and zero-norm words with a warning. Either way a set below
-    `min_words` is rejected: too few words cannot represent a concept.
+                 min_words: int) -> list[str]:
+    """Usable words of a stimulus set under the missing-word policy of
+    `EmbeddingTable.resolve`. Either way a set below `min_words` is rejected:
+    too few words cannot represent a concept.
     """
-    if on_missing not in ("error", "drop"):
-        raise ValueError(f"unknown on_missing policy {on_missing!r}")
-    absent = table.missing(stimulus.words)
-    words = list(stimulus.words)
-    if absent:
-        if on_missing == "drop":
-            log.warning("set %s: dropping %d missing words: %s", stimulus.name,
-                        len(absent), ", ".join(absent))
-            words = [w for w in words if w not in set(absent)]
-        else:
-            raise MissingWordsError(f"set {stimulus.name}", absent)
+    words = table.resolve(stimulus.words, f"set {stimulus.name}", on_missing)
     if not words:
         raise UndersizedSetError(f"set {stimulus.name}: no resolvable words")
-    zero = [w for w in words if not table.usable(w)]
-    if zero:
-        if on_missing == "drop":
-            log.warning("set %s: dropping zero-norm vectors (annihilated words): %s",
-                        stimulus.name, ", ".join(zero))
-            words = [w for w in words if table.usable(w)]
-        else:
-            raise ZeroVectorError(f"set {stimulus.name}: zero-norm vectors for: "
-                                  f"{', '.join(zero)}")
     if len(words) < min_words:
         raise UndersizedSetError(
             f"set {stimulus.name} has {len(words)} usable words, minimum is {min_words}")
-    return table.unit_rows(words), words
+    return words
 
 
 def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: StimulusSet,
@@ -125,8 +103,10 @@ def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: Stimu
     two sets over the population std-dev of the cosines to the pooled
     attributes.
     """
-    a_mat, _ = _resolve_set(table, attributes_a, on_missing=on_missing, min_words=min_words)
-    b_mat, _ = _resolve_set(table, attributes_b, on_missing=on_missing, min_words=min_words)
+    a_words, b_words = (_resolve_set(table, attributes, on_missing=on_missing,
+                                     min_words=min_words)
+                        for attributes in (attributes_a, attributes_b))
+    a_mat, b_mat = table.unit_rows(a_words), table.unit_rows(b_words)
     units = table.unit_rows(words)
     cos_a = units @ a_mat.T
     cos_b = units @ b_mat.T
@@ -184,12 +164,11 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
     return p, PValueMethod("monte-carlo", samples=config.samples, seed=config.seed)
 
 
-def _equalize_targets(x_words: list[str], y_words: list[str], x_mat: np.ndarray,
-                      y_mat: np.ndarray, trim_to_equal: bool, seed: int,
-                      min_words: int):
+def _equalize_targets(x_words: list[str], y_words: list[str], trim_to_equal: bool,
+                      seed: int, min_words: int) -> tuple[list[str], list[str]]:
     """Enforce equal target sizes; optionally trim the larger set at random."""
     if len(x_words) == len(y_words):
-        return x_words, y_words, x_mat, y_mat
+        return x_words, y_words
     if not trim_to_equal:
         raise DataError(
             f"target sets must be the same size for the permutation test "
@@ -201,13 +180,11 @@ def _equalize_targets(x_words: list[str], y_words: list[str], x_mat: np.ndarray,
     if len(x_words) > size:
         keep = np.sort(rng.choice(len(x_words), size, replace=False))
         x_words = [x_words[i] for i in keep]
-        x_mat = x_mat[keep]
     else:
         keep = np.sort(rng.choice(len(y_words), size, replace=False))
         y_words = [y_words[i] for i in keep]
-        y_mat = y_mat[keep]
     log.warning("trimmed larger target set to %d words (seeded)", size)
-    return x_words, y_words, x_mat, y_mat
+    return x_words, y_words
 
 
 def weat(targets_x: StimulusSet, targets_y: StimulusSet, attributes_a: StimulusSet,
@@ -223,16 +200,15 @@ def weat(targets_x: StimulusSet, targets_y: StimulusSet, attributes_a: StimulusS
     p-value permutes equal-size partitions of the pooled targets, attributes
     fixed.
     """
-    x_mat, x_words = _resolve_set(table, targets_x, on_missing=on_missing, min_words=min_words)
-    y_mat, y_words = _resolve_set(table, targets_y, on_missing=on_missing, min_words=min_words)
-    a_mat, _ = _resolve_set(table, attributes_a, on_missing=on_missing, min_words=min_words)
-    b_mat, _ = _resolve_set(table, attributes_b, on_missing=on_missing, min_words=min_words)
-
+    x_words, y_words, a_words, b_words = (
+        _resolve_set(table, stimulus, on_missing=on_missing, min_words=min_words)
+        for stimulus in (targets_x, targets_y, attributes_a, attributes_b))
     overlap = set(x_words) & set(y_words)
     if overlap:
         raise DataError(f"target sets overlap: {', '.join(sorted(overlap))}")
-    x_words, y_words, x_mat, y_mat = _equalize_targets(
-        x_words, y_words, x_mat, y_mat, trim_to_equal, p_config.seed, min_words)
+    x_words, y_words = _equalize_targets(x_words, y_words, trim_to_equal, p_config.seed,
+                                         min_words)
+    x_mat, y_mat, a_mat, b_mat = map(table.unit_rows, (x_words, y_words, a_words, b_words))
 
     s_x = (x_mat @ a_mat.T).mean(axis=1) - (x_mat @ b_mat.T).mean(axis=1)
     s_y = (y_mat @ a_mat.T).mean(axis=1) - (y_mat @ b_mat.T).mean(axis=1)
@@ -258,10 +234,12 @@ def sc_weat(word: str, attributes_a: StimulusSet, attributes_b: StimulusSet,
     partition, the word fixed.
     """
     unit_w = table.unit_rows([word])[0]
-    a_mat, a_words = _resolve_set(table, attributes_a, on_missing=on_missing, min_words=min_words)
-    b_mat, b_words = _resolve_set(table, attributes_b, on_missing=on_missing, min_words=min_words)
-    a_words, b_words, a_mat, b_mat = _equalize_targets(
-        a_words, b_words, a_mat, b_mat, trim_to_equal, p_config.seed, min_words)
+    a_words, b_words = (_resolve_set(table, attributes, on_missing=on_missing,
+                                     min_words=min_words)
+                        for attributes in (attributes_a, attributes_b))
+    a_words, b_words = _equalize_targets(a_words, b_words, trim_to_equal, p_config.seed,
+                                         min_words)
+    a_mat, b_mat = table.unit_rows(a_words), table.unit_rows(b_words)
 
     cos_a = a_mat @ unit_w
     cos_b = b_mat @ unit_w

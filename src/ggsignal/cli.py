@@ -131,12 +131,13 @@ def _stimulus_sets(args, *keys: str) -> list[StimulusSet]:
     return require_sets(load_stimuli(_resolve(args.stimuli)), *keys)
 
 
-def _gender_sample(args, lexicon: GenderLexicon, available, label: str) -> tuple[list[str], list[str]]:
+def _gender_sample(args, lexicon: GenderLexicon, tables: tuple[EmbeddingTable, ...],
+                   label: str) -> tuple[list[str], list[str]]:
     """Seeded balanced draw of --per-gender lexicon words per gender among
-    `available`, reduced to the lexicon's coverage there."""
+    those in every one of `tables`, reduced to the lexicon's coverage there."""
     if args.per_gender < 1:
         raise UsageError("--per-gender must be positive")
-    usable = lexicon.restricted_to(available)
+    usable = lexicon.restricted_to(w for w in lexicon.words if all(w in t for t in tables))
     per_gender = min(args.per_gender, len(usable.feminine), len(usable.masculine))
     if per_gender < args.per_gender:
         log.warning("per-gender sample reduced to %d by lexicon coverage", per_gender)
@@ -202,7 +203,7 @@ def _per_condition(args, required: list[str], measure: Callable[[EmbeddingTable]
 
 def _cmd_disentangle(args) -> dict:
     lexicon = _lexicon(args)
-    table = _table(args, "embeddings", list(lexicon.feminine + lexicon.masculine))
+    table = _table(args, "embeddings", list(lexicon.words))
     config = DisentangleConfig(
         max_iterations=args.iterations,
         stop_accuracy=args.stop_accuracy,
@@ -211,11 +212,10 @@ def _cmd_disentangle(args) -> dict:
                                epochs=args.epochs, holdout_fraction=args.holdout,
                                seed=derive_seed(args.seed, "classifier")),
         seed=args.seed,
-        resample=not args.fixed_sample,
     )
     transformed, stack = run_disentangle(table, lexicon, config)
 
-    missing_lexicon = [w for w in (*lexicon.feminine, *lexicon.masculine) if w not in table]
+    missing_lexicon = [w for w in lexicon.words if w not in table]
     results = {
         "iterations": len(stack),
         "accuracy_trace": list(stack.accuracy_trace),
@@ -329,13 +329,12 @@ def _cmd_pairdist(args) -> dict:
 def _cmd_sweep(args) -> dict:
     lexicon = _lexicon(args)
     fem_attrs, masc_attrs = _stimulus_sets(args, args.attributes_f, args.attributes_m)
-    required = list(lexicon.feminine + lexicon.masculine) + \
-        [*fem_attrs.words, *masc_attrs.words]
+    required = [*lexicon.words, *fem_attrs.words, *masc_attrs.words]
     table_before = _table(args, "before", required)
     table_after = _table(args, "after", required)
 
-    fem_words, masc_words = _gender_sample(
-        args, lexicon, set(table_before.words) & set(table_after.words), "sweep-sample")
+    fem_words, masc_words = _gender_sample(args, lexicon, (table_before, table_after),
+                                           "sweep-sample")
     sweep = sc_gg_sweep(fem_words, masc_words, fem_attrs, masc_attrs,
                         table_before, table_after, on_missing=args.on_missing,
                         min_words=args.min_set_size)
@@ -372,8 +371,8 @@ def _cmd_synth(args) -> dict:
 
 def _cmd_pca_coords(args) -> dict:
     lexicon = _lexicon(args)
-    table = _table(args, "embeddings", list(lexicon.feminine + lexicon.masculine))
-    fem_words, masc_words = _gender_sample(args, lexicon, table.words, "pca-sample")
+    table = _table(args, "embeddings", list(lexicon.words))
+    fem_words, masc_words = _gender_sample(args, lexicon, (table,), "pca-sample")
     words = fem_words + masc_words
     genders = ["F"] * len(fem_words) + ["M"] * len(masc_words)
     coords = principal_coordinates(table.rows(words), n_components=2)
@@ -409,8 +408,6 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--regularization", type=float, default=1e-4)
     p.add_argument("--holdout", type=float, default=0.1)
-    p.add_argument("--fixed-sample", action="store_true",
-                   help="reuse the round-0 noun sample instead of resampling")
     p.add_argument("--out-embeddings", help="write the transformed table here")
     p.add_argument("--out-stack", help="write the extracted directions here")
     common(p)

@@ -47,9 +47,7 @@ class DisentangleConfig:
     `stop_accuracy` defaults slightly above 0.5 because held-out accuracy
     fluctuates around chance; a strict 0.5 test may never trigger.
     `max_iterations` caps the number of projections; 0 means measure once
-    and leave the table untouched. With `resample` each round draws a fresh
-    balanced sample seeded with base seed + round index; otherwise the round-0
-    sample is reused.
+    and leave the table untouched.
     """
 
     max_iterations: int = 15
@@ -57,7 +55,6 @@ class DisentangleConfig:
     per_class: int = 3000
     classifier: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
-    resample: bool = True
 
     def __post_init__(self):
         if self.max_iterations < 0:
@@ -136,12 +133,12 @@ def run(table: EmbeddingTable, lexicon: GenderLexicon,
     directions with their accuracy trace. Words whose vectors end up
     all-zero are retained in the table but flagged in the log.
     """
-    missing = [w for w in (*lexicon.feminine, *lexicon.masculine) if w not in table]
+    missing = [w for w in lexicon.words if w not in table]
     if missing:
         log.warning("lexicon: %d words not in the embedding table excluded: %s%s",
                     len(missing), ", ".join(missing[:10]),
                     "..." if len(missing) > 10 else "")
-    usable = lexicon.restricted_to(table.words)
+    usable = lexicon.restricted_to(w for w in lexicon.words if w in table)
 
     work = np.array(table.matrix, dtype=np.float64, copy=True)
     directions: list[np.ndarray] = []
@@ -151,8 +148,8 @@ def run(table: EmbeddingTable, lexicon: GenderLexicon,
 
     round_index = 0
     while True:
-        sample_seed = config.seed + (round_index if config.resample else 0)
-        feminine, masculine = balanced_sample(usable, config.per_class, sample_seed)
+        feminine, masculine = balanced_sample(usable, config.per_class,
+                                              config.seed + round_index)
         fem_rows = work[[table.index_of(w) for w in feminine]]
         masc_rows = work[[table.index_of(w) for w in masculine]]
         round_config = replace(config.classifier, seed=config.classifier.seed + round_index)

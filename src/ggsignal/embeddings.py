@@ -1,4 +1,6 @@
-"""Word-embedding tables: loading, saving, lookup, row norms and unit rows.
+"""Word-embedding tables: loading, saving, lookup, row norms and unit rows,
+and the one rule (`EmbeddingTable.resolve`) that drops or reports words
+without a usable vector.
 
 The on-disk format is the plain text vector format: a header line
 ``<count> <dimension>`` followed by one ``<word> v1 ... vD`` line per word,
@@ -112,12 +114,31 @@ class EmbeddingTable:
         i = self._index.get(word)
         return i is not None and self._norms[i] > 0.0
 
-    def missing(self, words: Iterable[str]) -> list[str]:
-        """Subsequence of `words` that have no entry, original order kept."""
-        return [w for w in words if w not in self._index]
+    def resolve(self, words: Sequence[str], context: str, on_missing: str) -> list[str]:
+        """Subsequence of `words` that are `usable`, original order kept.
+
+        Under "error", absent words raise MissingWordsError and then zero-norm
+        words raise ZeroVectorError, each naming every such word; under "drop"
+        both kinds are dropped with a warning. `context` leads each message.
+        """
+        if on_missing not in ("error", "drop"):
+            raise ValueError(f"unknown on_missing policy {on_missing!r}")
+        absent = [w for w in words if w not in self._index]
+        if absent and on_missing == "error":
+            raise MissingWordsError(context, absent)
+        zero = [w for w in words if w in self._index and not self.usable(w)]
+        if zero and on_missing == "error":
+            raise ZeroVectorError(f"{context}: zero-norm vectors for: {', '.join(zero)}")
+        if absent:
+            log.warning("%s: dropping %d missing words: %s", context, len(absent),
+                        ", ".join(absent))
+        if zero:
+            log.warning("%s: dropping zero-norm vectors (annihilated words): %s",
+                        context, ", ".join(zero))
+        return [w for w in words if self.usable(w)]
 
     def _indices(self, words: Sequence[str]) -> list[int]:
-        absent = self.missing(words)
+        absent = [w for w in words if w not in self._index]
         if absent:
             raise MissingWordsError("row gather", absent)
         return [self._index[w] for w in words]

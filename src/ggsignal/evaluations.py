@@ -16,7 +16,7 @@ import numpy as np
 
 from .association import AssociationResult, PermutationConfig, sc_effect_sizes, weat
 from .embeddings import EmbeddingTable
-from .errors import DataError, MissingWordsError, NumericError
+from .errors import DataError, NumericError
 from .lexicon import (FEMININE, MASCULINE, MIN_SET_WORDS, AnalogyQuestion,
                       GenderLexicon, SimilarityPair, StimulusSet, ValenceNorm)
 
@@ -148,27 +148,19 @@ def sc_gg_sweep(feminine_words: list[str], masculine_words: list[str],
     grammatical gender pole: a feminine word's d must decrease, a masculine
     word's must increase. The looser magnitude-only count is reported
     alongside because the two readings differ on sign-incongruent words.
+    Words are resolved against both tables under the missing-word policy of
+    `EmbeddingTable.resolve`.
     """
     if not feminine_words and not masculine_words:
         raise DataError("sweep sample is empty")
-    words = list(feminine_words) + list(masculine_words)
-    genders = [FEMININE] * len(feminine_words) + [MASCULINE] * len(masculine_words)
-
-    kept_words: list[str] = []
-    kept_genders: list[str] = []
-    for word, gender in zip(words, genders):
-        resolvable = word in table_before and word in table_after
-        zero = resolvable and not (table_before.usable(word) and table_after.usable(word))
-        if not resolvable or zero:
-            if on_missing == "drop":
-                log.warning("sweep: dropping %r (%s)", word,
-                            "zero vector" if zero else "missing in a table")
-                continue
-            raise MissingWordsError("sweep sample", [word])
-        kept_words.append(word)
-        kept_genders.append(gender)
+    pairs = [(w, FEMININE) for w in feminine_words] + [(w, MASCULINE) for w in masculine_words]
+    kept_words = [w for w, _ in pairs]
+    for table in (table_before, table_after):
+        kept_words = table.resolve(kept_words, "sweep sample", on_missing)
     if not kept_words:
         raise DataError("sweep sample empty after filtering")
+    kept = set(kept_words)
+    kept_genders = [g for w, g in pairs if w in kept]
 
     d_before, d_after = (sc_effect_sizes(table, kept_words, feminine_attributes,
                                          masculine_attributes, on_missing=on_missing,

@@ -19,6 +19,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .embeddings import _parse_block
 from .errors import DataError, FormatError
 from .seeding import rng_for
 
@@ -50,8 +51,10 @@ class GenderLexicon:
             return MASCULINE
         return None
 
-    def __contains__(self, word: str) -> bool:
-        return self.gender_of(word) is not None
+    @property
+    def words(self) -> tuple[str, ...]:
+        """The feminine words, then the masculine words."""
+        return self.feminine + self.masculine
 
     @property
     def _feminine_set(self) -> frozenset[str]:
@@ -247,6 +250,14 @@ def require_sets(stimuli: Mapping[str, StimulusSet], *keys: str) -> list[Stimulu
     return [stimuli[k] for k in keys]
 
 
+def _parse_number(path, lineno: int, field: str) -> float:
+    """One numeric field, under the value rules of vector tables."""
+    text = field.strip()
+    if not text:  # checked here: loadtxt would warn that it read no data
+        raise FormatError(f"{path}:{lineno}: non-numeric value")
+    return float(_parse_block(path, [text], [lineno], 1)[0, 0])
+
+
 def load_similarity_pairs(path) -> list[SimilarityPair]:
     pairs: list[SimilarityPair] = []
     for lineno, line in _read_lines(path):
@@ -258,12 +269,7 @@ def load_similarity_pairs(path) -> list[SimilarityPair]:
         word_a, word_b = parts[0].strip(), parts[1].strip()
         if word_a == word_b:
             raise FormatError(f"{path}:{lineno}: pair words must be distinct")
-        try:
-            score = float(parts[2])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric score {parts[2]!r}") from None
-        if score != score or score in (float("inf"), float("-inf")):
-            raise FormatError(f"{path}:{lineno}: non-finite score")
+        score = _parse_number(path, lineno, parts[2])
         gender_a = gender_b = None
         if len(parts) == 5:
             gender_a, gender_b = parts[3].strip(), parts[4].strip()
@@ -284,13 +290,7 @@ def load_valence_norms(path) -> list[ValenceNorm]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'word<TAB>valence'")
-        try:
-            valence = float(parts[1])
-        except ValueError:
-            raise FormatError(f"{path}:{lineno}: non-numeric valence") from None
-        if valence != valence or valence in (float("inf"), float("-inf")):
-            raise FormatError(f"{path}:{lineno}: non-finite valence")
-        norms.append(ValenceNorm(parts[0].strip(), valence))
+        norms.append(ValenceNorm(parts[0].strip(), _parse_number(path, lineno, parts[1])))
     if not norms:
         raise FormatError(f"{path}: no valence norms found")
     return norms

@@ -508,3 +508,30 @@ def test_trim_to_equal_still_accepted(files, tmp_path, command):
     report = tmp_path / "report.json"
     assert main([*COMMANDS[command](files, tmp_path), "--trim-to-equal",
                  "--report", str(report)]) == 0
+
+
+def test_sweep_zero_norm_words_are_a_numeric_failure(files, tmp_path, capsys):
+    zeroed = [files["fem"][40], files["masc"][45]]
+    table = load_table(files["disentangled"])
+    matrix = table.matrix.copy()
+    matrix[[table.index_of(w) for w in zeroed]] = 0.0
+    after = tmp_path / "after.vec"
+    save_table(table.with_matrix(matrix), after)
+    argv = COMMANDS["sweep"](files, tmp_path)
+    argv[argv.index("--after") + 1] = str(after)
+    assert main([*argv, "--per-gender", "60", "--report", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert "numeric failure: sweep sample: zero-norm vectors for: " in err
+    assert all(w in err for w in zeroed)
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("command", ["disentangle", "sweep", "pca-coords"])
+def test_lexicon_sampling_builds_no_vocabulary_set(files, tmp_path, monkeypatch, command):
+    # Reading a table's whole word list is what building a set of it takes.
+    def refuse(self):
+        raise AssertionError("whole vocabulary read")
+
+    monkeypatch.setattr(EmbeddingTable, "words", property(refuse))
+    assert main([*COMMANDS[command](files, tmp_path),
+                 "--report", str(tmp_path / "r.json")]) == 0

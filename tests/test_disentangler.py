@@ -216,13 +216,6 @@ def test_run_excludes_lexicon_words_missing_from_table(caplog):
     assert stack.final_accuracy <= 0.52 or len(stack) == 15
 
 
-def test_fixed_sample_mode_runs():
-    table, lexicon, _, _ = generate(SynthConfig(
-        dimension=25, per_class=60, signal_strength=5.0, noise_scale=0.3, seed=10))
-    out, stack = run(table, lexicon, small_config(per_class=60, resample=False))
-    assert stack.final_accuracy <= 0.52 or len(stack) == 15
-
-
 def test_stack_applied_to_held_back_words_is_orthogonal():
     table, lexicon, _, _ = generate(SynthConfig(
         dimension=30, per_class=120, signal_strength=6.0, noise_scale=0.2, seed=11))

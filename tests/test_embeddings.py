@@ -10,6 +10,7 @@ from ggsignal import embeddings
 from ggsignal.disentangler import load_stack
 from ggsignal.embeddings import EmbeddingTable, atomic_open, load_table, save_table
 from ggsignal.errors import FormatError, MissingWordsError, ZeroVectorError
+from ggsignal.lexicon import load_similarity_pairs, load_valence_norms
 
 
 def cosine(a, b) -> float:
@@ -356,23 +357,53 @@ def test_block_boundaries_match_reference(tmp_path, monkeypatch):
         load_table(path)
 
 
+def test_resolve_keeps_order_and_names_every_unusable_word(caplog):
+    table = EmbeddingTable(["a", "z1", "b", "z2", "c"],
+                           [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0], [1e-170, 1e-170], [3.0, 4.0]])
+    assert table.resolve(["c", "a", "b"], "ctx", "error") == ["c", "a", "b"]
+    words = ["c", "x", "z2", "a", "y", "z1", "b"]
+    with pytest.raises(MissingWordsError, match="^ctx: unresolvable words: x, y$"):
+        table.resolve(words, "ctx", "error")
+    with pytest.raises(ZeroVectorError, match="^ctx: zero-norm vectors for: z2, z1$"):
+        table.resolve(["c", "z2", "a", "z1"], "ctx", "error")
+    with caplog.at_level("WARNING"):
+        assert table.resolve(words, "ctx", "drop") == ["c", "a", "b"]
+    assert [r.getMessage() for r in caplog.records] == [
+        "ctx: dropping 2 missing words: x, y",
+        "ctx: dropping zero-norm vectors (annihilated words): z2, z1"]
+    with pytest.raises(ValueError, match="unknown on_missing policy"):
+        table.resolve(words, "ctx", "skip")
+
+
 DIGIT_VALUES = ["1_0", "1e1_0", "١", "１", "1٢"]
+# Scores and valences follow the same rules, and also reject these two.
+FIELD_VALUES = [*DIGIT_VALUES, "nan", ""]
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("loader, value", [
     *[pytest.param("table", v, id=v) for v in DIGIT_VALUES],
-    *[pytest.param("stack", v, id=f"stack-{v}") for v in DIGIT_VALUES]])
+    *[pytest.param("stack", v, id=f"stack-{v}") for v in DIGIT_VALUES],
+    *[pytest.param("pairs", v, id=f"pairs-{v}") for v in FIELD_VALUES],
+    *[pytest.param("norms", v, id=f"norms-{v}") for v in FIELD_VALUES]])
 def test_digit_separators_and_non_ascii_digits_rejected(tmp_path, loader, value):
-    # float() reads these; tables and stacks accept ASCII digits only.
+    # float() reads these; tables, stacks, scores and valences accept ASCII digits only.
     path = tmp_path / "t.vec"
     if loader == "table":
         path.write_text(f"2 2\na 1 0\nb 0 {value}\n", encoding="utf-8")
         assert reference_load(path).words == ("a", "b")
         load = load_table
-    else:
+    elif loader == "stack":
         path.write_text(f"2 2\n1 0\n0 {value}\n", encoding="utf-8")
         load = load_stack
-    with pytest.raises(FormatError, match=rf"{path}:3: non-numeric value"):
+    elif loader == "pairs":
+        path.write_text(f"# pairs\na\tb\t7.5\nc\td\t{value}\n", encoding="utf-8")
+        load = load_similarity_pairs
+    else:
+        path.write_text(f"# norms\na\t7.5\nb\t{value}\n", encoding="utf-8")
+        load = load_valence_norms
+    reason = "non-finite" if value == "nan" else "non-numeric"
+    with pytest.raises(FormatError, match=rf"{path}:3: {reason} value"):
         load(path)
 
 

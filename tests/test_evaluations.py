@@ -6,7 +6,7 @@ import pytest
 from ggsignal.classifier import TrainConfig, train
 from ggsignal.disentangler import DisentangleConfig, HyperplaneStack, apply_stack, run
 from ggsignal.embeddings import EmbeddingTable
-from ggsignal.errors import DataError, NumericError
+from ggsignal.errors import DataError, NumericError, ZeroVectorError
 from ggsignal.evaluations import (GgWeatSpec, analogy_accuracy, build_gg_targets,
                                   gg_weat, pairwise_gap, principal_coordinates,
                                   sc_gg_sweep, valnorm)
@@ -172,6 +172,22 @@ def test_sweep_drop_policy_drops_words_without_direction():
     result = sc_gg_sweep(fem_sample + ["tiny"], masc_sample, fem_attrs, masc_attrs,
                          table, table, on_missing="drop")
     assert [r.word for r in result.records] == fem_sample + masc_sample
+
+
+def test_sweep_zero_norm_words_in_after_table_are_a_numeric_error():
+    table, _, fem_attrs, masc_attrs, fem_sample, masc_sample = sweep_setup()
+    zeroed = [fem_sample[3], masc_sample[0], masc_sample[7]]
+    matrix = table.matrix.copy()
+    matrix[[table.index_of(w) for w in zeroed]] = 0.0
+    after = table.with_matrix(matrix)
+    with pytest.raises(ZeroVectorError,
+                       match=f"sweep sample: zero-norm vectors for: {', '.join(zeroed)}$"):
+        sc_gg_sweep(fem_sample, masc_sample, fem_attrs, masc_attrs, table, after)
+    result = sc_gg_sweep(fem_sample, masc_sample, fem_attrs, masc_attrs, table, after,
+                         on_missing="drop")
+    assert [r.word for r in result.records] == [
+        w for w in fem_sample + masc_sample if w not in zeroed]
+    assert [r.gender for r in result.records] == ["F"] * 59 + ["M"] * 58
 
 
 def test_sweep_empty_sample_rejected():
