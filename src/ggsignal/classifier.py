@@ -10,6 +10,13 @@ mean squared vector norm) that is folded back into the reported weights.
 This makes the learned direction invariant to uniform rescaling of the
 input vectors while leaving their geometry untouched; the regularization
 strength is therefore expressed per unit of mean squared norm.
+
+Training runs on pre-signed rows `y * [x / scale, 1]`, built once. With
+labels of +1 and -1 this is exact: negation is exact and IEEE rounding is
+symmetric in sign, so `u . row` equals `y * (u . x)` and `u += row` adds
+`y * x` bit for bit. Each step of the per-sample loop then costs one dot
+product, one division and, on a margin violation, one in-place add, and
+the model equals the one the textbook loop over (x, y) pairs produces.
 """
 
 from __future__ import annotations
@@ -68,6 +75,43 @@ def _stratified_split(n: int, fraction: float, rng: np.random.Generator):
     return order[hold:], order[:hold]
 
 
+def _signed_rows(pos: np.ndarray, neg: np.ndarray, scale: float) -> np.ndarray:
+    """Training rows `y * [x / scale, 1]`, positives first, built in one array.
+
+    Dividing by `-scale` equals negating `x / scale` bit for bit, because
+    IEEE rounding is symmetric in sign.
+    """
+    signed = np.empty((pos.shape[0] + neg.shape[0], pos.shape[1] + 1))
+    np.divide(pos, scale, out=signed[:pos.shape[0], :-1])
+    np.divide(neg, -scale, out=signed[pos.shape[0]:, :-1])
+    signed[:pos.shape[0], -1] = 1.0
+    signed[pos.shape[0]:, -1] = -1.0
+    return signed
+
+
+def _pegasos(signed: np.ndarray, lam: float, epochs: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """Augmented weights after `epochs` shuffled passes over the signed rows.
+
+    With the inverse-t schedule the Pegasos iterate has the closed form
+    w_t = u / (lam * t) after t steps, where u sums the signed rows of the
+    margin violations; tracking u avoids per-step vector shrinkage. A row's
+    margin is y * (u . x) / (lam * t) = (u . row) / (lam * t), so each step
+    costs one dot product. The signed matrix and its row views die on
+    return, before the caller's accuracy pass allocates.
+    """
+    rows = list(signed)
+    u = np.zeros(signed.shape[1])
+    dot = u.dot
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(len(rows)).tolist():
+            if t == 0 or dot(rows[i]) / (lam * t) < 1.0:
+                u += rows[i]
+            t += 1
+    return u / (lam * t)
+
+
 def train(positives, negatives, config: TrainConfig = TrainConfig()) -> LinearModel:
     """Train on labeled vectors; positives get label +1.
 
@@ -93,33 +137,10 @@ def train(positives, negatives, config: TrainConfig = TrainConfig()) -> LinearMo
     pos_train_idx, pos_hold_idx = _stratified_split(pos.shape[0], config.holdout_fraction, rng_split)
     neg_train_idx, neg_hold_idx = _stratified_split(neg.shape[0], config.holdout_fraction, rng_split)
 
-    def augmented(matrix: np.ndarray) -> np.ndarray:
-        scaled = matrix / scale
-        return np.hstack([scaled, np.ones((matrix.shape[0], 1))])
-
-    x_train = np.ascontiguousarray(np.vstack([augmented(pos[pos_train_idx]),
-                                              augmented(neg[neg_train_idx])]))
     y_train = np.concatenate([np.ones(len(pos_train_idx)), -np.ones(len(neg_train_idx))])
-
-    lam = config.regularization_strength
-    n_train, dim_aug = x_train.shape
-    # With the inverse-t schedule the Pegasos iterate has the closed form
-    # w_t = u / (lam * (t - 1)) where u accumulates y*x over margin
-    # violations; tracking u avoids per-step vector shrinkage.
-    u = np.zeros(dim_aug)
-    t = 0
-    rng_epochs = rng_for(config.seed, "epochs")
-    for _ in range(config.epochs):
-        for i in rng_epochs.permutation(n_train):
-            t += 1
-            if t == 1:
-                margin = 0.0
-            else:
-                margin = y_train[i] * float(u @ x_train[i]) / (lam * (t - 1))
-            if margin < 1.0:
-                u += y_train[i] * x_train[i]
-
-    w_aug = u / (lam * t)
+    w_aug = _pegasos(_signed_rows(pos[pos_train_idx], neg[neg_train_idx], scale),
+                     config.regularization_strength, config.epochs,
+                     rng_for(config.seed, "epochs"))
     weights = w_aug[:-1] / scale
     bias = float(w_aug[-1])
     if not np.any(weights):

@@ -10,11 +10,12 @@ accuracy-per-round curve starting at the raw table.
 `run` and `apply_stack` share one kernel, `_project`: it projects one working
 copy of the table in place, block by block, so its only temporary is one block.
 
-Successive directions are not re-orthogonalized: after a projection the
-data lives in the previous direction's orthogonal complement, so new
-directions come out near-orthogonal up to training noise. The cosine
-between consecutive directions is recorded and a warning logged when its
-magnitude exceeds 0.1, rather than forcing orthogonality.
+Successive directions are not re-orthogonalized, and need not be: a round's
+weights are a sum of sample rows already projected off every earlier
+direction, so each new direction is orthogonal to all of them up to rounding
+(max |D D^T - I| of 2.4e-13 or less measured on the synthetic oracle). The
+cosine between consecutive directions is recorded and a warning logged when
+its magnitude exceeds 0.1, rather than forcing orthogonality.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import TrainConfig, decision_direction, train
-from .embeddings import EmbeddingTable, _parse_block, _parse_header, atomic_open
+from .embeddings import EmbeddingTable, _parse_block, _parse_header, atomic_open, open_text
 from .errors import DataError, FormatError
 from .lexicon import GenderLexicon, balanced_sample
 
@@ -219,7 +220,7 @@ def load_stack(path) -> HyperplaneStack:
     no word in front; a bad line raises FormatError naming `path:line`.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         count, dim = _parse_header(handle.readline().rstrip("\r\n"), path, min_count=0)
         texts, linenos = [], []
         for lineno, raw in enumerate(handle, start=2):

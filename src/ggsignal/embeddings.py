@@ -13,6 +13,7 @@ interrupted write never leaves a partial file under the final name.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import os
@@ -52,20 +53,7 @@ class EmbeddingTable:
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray,
                  missing_required: tuple[str, ...] = ()):
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] == 0:
-            raise FormatError("embedding table needs at least one entry")
-        if len(words) != matrix.shape[0]:
-            raise FormatError("word list and matrix row count disagree")
-        norms = np.empty(matrix.shape[0])
-        with np.errstate(over="ignore"):
-            for start in range(0, len(norms), _BLOCK_ROWS):
-                norms[start:start + _BLOCK_ROWS] = np.linalg.norm(
-                    matrix[start:start + _BLOCK_ROWS], axis=1)
-        # A norm is inf or nan exactly when its row holds one or its squares overflow.
-        if not np.isfinite(norms).all():
-            raise FormatError("embedding table contains non-finite values "
-                              "or a row whose norm overflows")
+        self._matrix, self._norms = _checked_matrix(matrix, len(words))
         index: dict[str, int] = {}
         for i, w in enumerate(words):
             if w in index:
@@ -73,10 +61,6 @@ class EmbeddingTable:
             index[w] = i
         self._words = tuple(words)
         self._index = index
-        self._matrix = matrix
-        self._matrix.setflags(write=False)
-        self._norms = norms
-        self._norms.setflags(write=False)
         self.missing_required = missing_required
 
     @property
@@ -166,8 +150,40 @@ class EmbeddingTable:
         return [self._words[i] for i in np.flatnonzero(self._norms == 0.0)]
 
     def with_matrix(self, matrix: np.ndarray) -> "EmbeddingTable":
-        """Same vocabulary over a replacement matrix (bulk transform result)."""
-        return EmbeddingTable(self._words, matrix)
+        """Same vocabulary over a replacement matrix (bulk transform result).
+
+        The word tuple and word-to-row index are shared with this table, not
+        rebuilt; the matrix is checked and normed as the constructor does.
+        """
+        table = copy.copy(self)
+        table._matrix, table._norms = _checked_matrix(matrix, len(self._words))
+        table.missing_required = ()
+        return table
+
+
+def _checked_matrix(matrix: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float64 `matrix` and its row norms, computed in blocks.
+
+    Raises FormatError unless `matrix` is 2-d with `rows` rows (at least one),
+    every value finite and no row's squares overflowing.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] == 0:
+        raise FormatError("embedding table needs at least one entry")
+    if rows != matrix.shape[0]:
+        raise FormatError("word list and matrix row count disagree")
+    norms = np.empty(matrix.shape[0])
+    with np.errstate(over="ignore"):
+        for start in range(0, len(norms), _BLOCK_ROWS):
+            norms[start:start + _BLOCK_ROWS] = np.linalg.norm(
+                matrix[start:start + _BLOCK_ROWS], axis=1)
+    # A norm is inf or nan exactly when its row holds one or its squares overflow.
+    if not np.isfinite(norms).all():
+        raise FormatError("embedding table contains non-finite values "
+                          "or a row whose norm overflows")
+    matrix.setflags(write=False)
+    norms.setflags(write=False)
+    return matrix, norms
 
 
 def _parse_header(line: str, path: Path, min_count: int = 1) -> tuple[int, int]:
@@ -183,6 +199,37 @@ def _parse_header(line: str, path: Path, min_count: int = 1) -> tuple[int, int]:
         raise FormatError(f"{path}: header needs count >= {min_count} and a positive "
                           f"dimension, got {line!r}")
     return count, dim
+
+
+@contextmanager
+def open_text(path):
+    """Read handle of a UTF-8 text file, for every reader of the package.
+
+    A file that starts with a byte-order mark raises FormatError naming it,
+    and so does a byte that is not UTF-8, with the line of the first one.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            if handle.read(1) == "\ufeff":
+                raise FormatError(f"{path}: starts with a byte-order mark")
+            handle.seek(0)
+            yield handle
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}:{_first_invalid_line(path)}: invalid UTF-8") from None
+
+
+def _first_invalid_line(path) -> int:
+    """Line number of the first byte of `path` that is not UTF-8, with lines
+    ended by LF, CRLF or a lone CR as text reading ends them."""
+    lineno = 1
+    with open(path, "rb") as handle:
+        for raw in handle:
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return lineno + len((raw[:exc.start] + b"x").splitlines()) - 1
+            lineno += len((raw + b"x").splitlines()) - 1
+    return lineno
 
 
 @contextmanager
@@ -244,7 +291,7 @@ def load_table(path, vocab_limit: int | None = None,
             texts.clear()
             linenos.clear()
 
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         header = handle.readline()
         if not header:
             raise FormatError(f"{path}: empty file")

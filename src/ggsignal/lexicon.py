@@ -1,7 +1,7 @@
 """Word-list datasets: gendered-noun lexicons, stimulus sets, similarity
 pairs, valence norms, and analogy questions.
 
-File formats (all UTF-8, CR tolerated):
+File formats (all UTF-8 without a byte-order mark, CR tolerated):
 
 * gendered nouns  — TSV ``word<TAB>F|M``
 * animacy list    — one word per line, may be empty or omitted
@@ -19,7 +19,7 @@ import logging
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .embeddings import _parse_block
+from .embeddings import _parse_block, open_text
 from .errors import DataError, FormatError
 from .seeding import rng_for
 
@@ -124,7 +124,7 @@ class AnalogyQuestion:
 
 
 def _read_lines(path) -> list[tuple[int, str]]:
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path) as handle:
         return [(i, line.rstrip("\r\n")) for i, line in enumerate(handle, start=1)]
 
 

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ggsignal import classifier
 from ggsignal.classifier import (LinearModel, TrainConfig, accuracy,
                                  decision_direction, train)
 from ggsignal.errors import DataError, NumericError
+from ggsignal.seeding import rng_for
 from ggsignal.synthetic import SynthConfig, generate
 
 
@@ -139,3 +143,102 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(holdout_fraction=1.0)
+
+
+# ------------------------------------------------------------ reference oracle
+#
+# The per-sample loop over (x, y) pairs that `train` replaced with one dot
+# product per step over pre-signed rows. The two must agree bit for bit.
+
+def reference_train(pos, neg, config):
+    pos = np.asarray(pos, dtype=np.float64)
+    neg = np.asarray(neg, dtype=np.float64)
+    scale = float(np.sqrt(np.mean(np.concatenate([
+        np.einsum("ij,ij->i", pos, pos), np.einsum("ij,ij->i", neg, neg)]))))
+    rng_split = rng_for(config.seed, "holdout")
+    pos_train_idx, pos_hold_idx = classifier._stratified_split(
+        pos.shape[0], config.holdout_fraction, rng_split)
+    neg_train_idx, neg_hold_idx = classifier._stratified_split(
+        neg.shape[0], config.holdout_fraction, rng_split)
+
+    def augmented(matrix):
+        return np.hstack([matrix / scale, np.ones((matrix.shape[0], 1))])
+
+    x_train = np.ascontiguousarray(np.vstack([augmented(pos[pos_train_idx]),
+                                              augmented(neg[neg_train_idx])]))
+    y_train = np.concatenate([np.ones(len(pos_train_idx)), -np.ones(len(neg_train_idx))])
+    lam = config.regularization_strength
+    u = np.zeros(x_train.shape[1])
+    t = 0
+    rng_epochs = rng_for(config.seed, "epochs")
+    for _ in range(config.epochs):
+        for i in rng_epochs.permutation(x_train.shape[0]):
+            t += 1
+            margin = 0.0 if t == 1 else y_train[i] * float(u @ x_train[i]) / (lam * (t - 1))
+            if margin < 1.0:
+                u += y_train[i] * x_train[i]
+    w_aug = u / (lam * t)
+    model = LinearModel(weights=w_aug[:-1] / scale, bias=float(w_aug[-1]),
+                        train_accuracy=0.0, holdout_accuracy=0.0)
+    hold_labels = np.concatenate([np.ones(len(pos_hold_idx)), -np.ones(len(neg_hold_idx))])
+    return LinearModel(
+        weights=model.weights, bias=model.bias,
+        train_accuracy=accuracy(model, np.vstack([pos[pos_train_idx], neg[neg_train_idx]]),
+                                y_train),
+        holdout_accuracy=accuracy(model, np.vstack([pos[pos_hold_idx], neg[neg_hold_idx]]),
+                                  hold_labels))
+
+
+def _case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "separable":
+        return clusters(separation=3.0, spread=0.5, n=40, seed=1) + (TrainConfig(seed=3),)
+    if name == "chance":
+        points = rng.normal(size=(50, 6))
+        return points[:25], points[25:], TrainConfig(seed=4)
+    if name == "imbalanced":
+        return (rng.normal(size=(90, 5)) + 0.4, rng.normal(size=(7, 5)) - 0.4,
+                TrainConfig(regularization_strength=0.05, seed=5))
+    if name == "odd-sizes":
+        return (rng.normal(size=(13, 7)) + 0.3, rng.normal(size=(29, 7)) - 0.3,
+                TrainConfig(holdout_fraction=0.37, seed=6))
+    if name == "two-per-class":
+        return rng.normal(size=(2, 3)) + 1.0, rng.normal(size=(2, 3)) - 1.0, TrainConfig(seed=7)
+    if name == "one-epoch":
+        return (rng.normal(size=(40, 8)) + 0.2, rng.normal(size=(40, 8)) - 0.2,
+                TrainConfig(epochs=1, seed=8))
+    if name == "zero-column":
+        pos, neg = rng.normal(size=(30, 5)) + 0.5, rng.normal(size=(30, 5)) - 0.5
+        pos[:, 2] = 0.0
+        neg[:, 2] = 0.0
+        return pos, neg, TrainConfig(seed=9)
+    scale = {"tiny": 1e-150, "huge": 1e150}[name]
+    return (scale * (rng.normal(size=(30, 6)) + 0.5), scale * (rng.normal(size=(30, 6)) - 0.5),
+            TrainConfig(regularization_strength=0.01, seed=10))
+
+
+@pytest.mark.parametrize("name", ["separable", "chance", "imbalanced", "odd-sizes",
+                                  "two-per-class", "one-epoch", "zero-column", "tiny", "huge"])
+def test_train_matches_per_sample_reference_bitwise(name):
+    pos, neg, config = _case(name)
+    expected = reference_train(pos, neg, config)
+    model = train(pos, neg, config)
+    assert np.array_equal(model.weights, expected.weights)
+    assert model.bias == expected.bias
+    assert model.train_accuracy == expected.train_accuracy
+    assert model.holdout_accuracy == expected.holdout_accuracy
+
+
+def test_train_peak_memory_is_twice_the_training_matrix():
+    rng = np.random.default_rng(12)
+    pos = rng.normal(size=(500, 300)) + 0.05
+    neg = rng.normal(size=(500, 300)) - 0.05
+    config = TrainConfig(epochs=1, seed=1)
+    n_train = 2 * (500 - round(500 * config.holdout_fraction))
+    tracemalloc.start()
+    try:
+        train(pos, neg, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * n_train * 301 * pos.itemsize

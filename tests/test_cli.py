@@ -143,6 +143,27 @@ def test_rejected_option_values_are_usage_errors(env, tmp_path, capsys, extra, m
     assert list(tmp_path.iterdir()) == []
 
 
+def test_invalid_utf8_table_is_a_data_error(env, tmp_path, capsys):
+    content = env["table"].read_bytes()
+    second = content.index(b"\n", content.index(b"\n") + 1) + 1
+    table = tmp_path / "bad.vec"
+    table.write_bytes(content[:second + 2] + b"\xff" + content[second + 2:])
+    assert main(["disentangle", "--embeddings", str(table), "--lexicon", str(env["lexicon"]),
+                 "--per-class", "40", "--report", str(tmp_path / "r.json")]) == 2
+    assert f"data error: {table}:3: invalid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_lexicon_with_byte_order_mark_is_a_data_error(env, tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_bytes(b"\xef\xbb\xbf" + env["lexicon"].read_bytes())
+    assert main(["disentangle", "--embeddings", str(env["table"]), "--lexicon", str(lexicon),
+                 "--per-class", "40", "--report", str(tmp_path / "r.json")]) == 2
+    assert (f"data error: {lexicon}: starts with a byte-order mark"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_nonexistent_input_is_a_data_error(env, tmp_path):
     assert main(["weat", "--stimuli", str(tmp_path / "ghost.txt"),
                  "--targets-x", "a", "--targets-y", "b",

@@ -201,6 +201,22 @@ def test_table_rejects_duplicates_and_nonfinite():
         EmbeddingTable(["a"], [[1e200, 1e200]])
 
 
+def test_with_matrix_shares_vocabulary_and_checks_the_matrix():
+    table = EmbeddingTable(["a", "b"], [[1.0, 0.0], [0.0, 2.0]], missing_required=("z",))
+    out = table.with_matrix(np.array([[3.0, 4.0], [0.0, 0.0]]))
+    assert out.words is table.words
+    assert out._index is table._index  # the word-to-row dict is not rebuilt
+    assert out.index_of("b") == 1 and "a" in out
+    assert out.norms.tolist() == [5.0, 0.0]
+    assert table.norms.tolist() == [1.0, 2.0]
+    assert out.missing_required == ()
+    assert not out.matrix.flags.writeable
+    for bad in ([[1.0, float("nan")], [0.0, 1.0]], [[1e200, 1e200], [0.0, 1.0]],
+                [[1.0, 0.0]], [1.0, 0.0], np.zeros((0, 2))):
+        with pytest.raises(FormatError):
+            table.with_matrix(np.array(bad))
+
+
 def test_rows_names_missing_words(fixture_table):
     with pytest.raises(MissingWordsError, match="nothere"):
         fixture_table.rows(["x1", "nothere"])
@@ -432,3 +448,40 @@ def test_early_stop_by_vocab_limit_accepts_short_file(tmp_path):
     assert load_table(path, vocab_limit=1, required_words=["c"]).words == ("a", "c")
     with pytest.raises(FormatError, match="header promises 9 rows, file holds 3"):
         load_table(path, vocab_limit=2, required_words=["ghost"])
+
+
+def _bad_byte_files():
+    long_table = "2001 1\n" + "".join(f"w{i} 1\n" for i in range(2000)) + "w\xff 1\n"
+    return {
+        "table": (load_table, b"3 2\na 1 0\nb\xff 0 1\nc 1 1\n", 3),
+        "table-crlf": (load_table, b"3 2\r\na 1 0\r\nb 0 1\r\nc\xfe 1 1\r\n", 4),
+        "table-lone-cr": (load_table, b"3 2\ra 1 0\rb 0 1\rc 1\xc3\r", 4),
+        "table-past-first-chunk": (load_table, long_table.encode("latin-1"), 2002),
+        "table-truncated-sequence": (load_table, b"1 1\n\xc3", 2),
+        "stack": (load_stack, b"2 2\n1 0\n0 1\x80\n", 3),
+        "pairs": (load_similarity_pairs, b"a\tb\t1\nc\td\xff\t2\n", 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_bad_byte_files()))
+def test_invalid_utf8_is_a_format_error_naming_the_line(tmp_path, name):
+    reader, content, line = _bad_byte_files()[name]
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    with pytest.raises(FormatError, match=f"input.txt:{line}: invalid UTF-8$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader, content", [
+    (load_table, "2 2\na 1 0\nb 0 1\n"),
+    (load_stack, "1 2\n1 0\n"),
+    (load_similarity_pairs, "a\tb\t1\n"),
+    (load_valence_norms, "a\t1\n"),
+], ids=["table", "stack", "pairs", "norms"])
+def test_leading_byte_order_mark_is_a_format_error(tmp_path, reader, content):
+    path = tmp_path / "input.txt"
+    path.write_text("\ufeff" + content, encoding="utf-8")
+    with pytest.raises(FormatError, match="input.txt: starts with a byte-order mark"):
+        reader(path)
+    path.write_text(content, encoding="utf-8")
+    reader(path)
