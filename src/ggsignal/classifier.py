@@ -28,6 +28,10 @@ import numpy as np
 from .errors import DataError, NumericError
 from .seeding import rng_for
 
+# Training rows gathered per step of `_signed_rows`: the one temporary beside
+# the signed training matrix.
+_GATHER_ROWS = 1024
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -56,7 +60,6 @@ class TrainConfig:
 class LinearModel:
     weights: np.ndarray
     bias: float
-    train_accuracy: float
     holdout_accuracy: float
 
 
@@ -75,17 +78,25 @@ def _stratified_split(n: int, fraction: float, rng: np.random.Generator):
     return order[hold:], order[:hold]
 
 
-def _signed_rows(pos: np.ndarray, neg: np.ndarray, scale: float) -> np.ndarray:
-    """Training rows `y * [x / scale, 1]`, positives first, built in one array.
+def _signed_rows(pos: np.ndarray, pos_idx: np.ndarray, neg: np.ndarray,
+                 neg_idx: np.ndarray, scale: float) -> np.ndarray:
+    """Training rows `y * [x / scale, 1]` of `pos[pos_idx]` then
+    `neg[neg_idx]`, built in one array.
 
-    Dividing by `-scale` equals negating `x / scale` bit for bit, because
-    IEEE rounding is symmetric in sign.
+    Rows are gathered `_GATHER_ROWS` at a time straight into that array, so
+    no gathered copy of a whole class is made. Dividing by `-scale` equals
+    negating `x / scale` bit for bit, because IEEE rounding is symmetric in
+    sign.
     """
-    signed = np.empty((pos.shape[0] + neg.shape[0], pos.shape[1] + 1))
-    np.divide(pos, scale, out=signed[:pos.shape[0], :-1])
-    np.divide(neg, -scale, out=signed[pos.shape[0]:, :-1])
-    signed[:pos.shape[0], -1] = 1.0
-    signed[pos.shape[0]:, -1] = -1.0
+    signed = np.empty((len(pos_idx) + len(neg_idx), pos.shape[1] + 1))
+    offset = 0
+    for rows, idx, sign in ((pos, pos_idx, 1.0), (neg, neg_idx, -1.0)):
+        for start in range(0, len(idx), _GATHER_ROWS):
+            block = idx[start:start + _GATHER_ROWS]
+            np.divide(rows[block], sign * scale,
+                      out=signed[offset + start:offset + start + len(block), :-1])
+        signed[offset:offset + len(idx), -1] = sign
+        offset += len(idx)
     return signed
 
 
@@ -98,7 +109,7 @@ def _pegasos(signed: np.ndarray, lam: float, epochs: int,
     margin violations; tracking u avoids per-step vector shrinkage. A row's
     margin is y * (u . x) / (lam * t) = (u . row) / (lam * t), so each step
     costs one dot product. The signed matrix and its row views die on
-    return, before the caller's accuracy pass allocates.
+    return, before the caller's holdout pass allocates.
     """
     rows = list(signed)
     u = np.zeros(signed.shape[1])
@@ -137,8 +148,7 @@ def train(positives, negatives, config: TrainConfig = TrainConfig()) -> LinearMo
     pos_train_idx, pos_hold_idx = _stratified_split(pos.shape[0], config.holdout_fraction, rng_split)
     neg_train_idx, neg_hold_idx = _stratified_split(neg.shape[0], config.holdout_fraction, rng_split)
 
-    y_train = np.concatenate([np.ones(len(pos_train_idx)), -np.ones(len(neg_train_idx))])
-    w_aug = _pegasos(_signed_rows(pos[pos_train_idx], neg[neg_train_idx], scale),
+    w_aug = _pegasos(_signed_rows(pos, pos_train_idx, neg, neg_train_idx, scale),
                      config.regularization_strength, config.epochs,
                      rng_for(config.seed, "epochs"))
     weights = w_aug[:-1] / scale
@@ -146,15 +156,11 @@ def train(positives, negatives, config: TrainConfig = TrainConfig()) -> LinearMo
     if not np.any(weights):
         raise NumericError("training produced a zero weight vector")
 
-    model = LinearModel(weights=weights, bias=bias, train_accuracy=0.0,
-                        holdout_accuracy=0.0)
-    train_vecs = np.vstack([pos[pos_train_idx], neg[neg_train_idx]])
+    model = LinearModel(weights=weights, bias=bias, holdout_accuracy=0.0)
     hold_vecs = np.vstack([pos[pos_hold_idx], neg[neg_hold_idx]])
     hold_labels = np.concatenate([np.ones(len(pos_hold_idx)), -np.ones(len(neg_hold_idx))])
-    train_acc = accuracy(model, train_vecs, y_train)
-    hold_acc = accuracy(model, hold_vecs, hold_labels)
-    return LinearModel(weights=weights, bias=bias, train_accuracy=train_acc,
-                       holdout_accuracy=hold_acc)
+    return LinearModel(weights=weights, bias=bias,
+                       holdout_accuracy=accuracy(model, hold_vecs, hold_labels))
 
 
 def accuracy(model: LinearModel, vectors, labels) -> float:

@@ -33,8 +33,9 @@ log = logging.getLogger(__name__)
 _SAVE_FORMAT = "%.6g"
 
 # Kept rows are converted to float64, and table rows normed, this many at a
-# time, which bounds the value text and the squares held in memory.
-_BLOCK_ROWS = 4096
+# time, which bounds the value text, the parsed floats and the squares held in
+# memory beside the table's one matrix.
+_BLOCK_ROWS = 1024
 
 # loadtxt strips the information separators U+001C..U+001F around a number as
 # whitespace; float() does not, and a value carrying them is not a number of
@@ -143,7 +144,9 @@ class EmbeddingTable:
         if not norms.all():
             zero = [w for w, norm in zip(words, norms) if norm == 0.0]
             raise ZeroVectorError(f"zero-norm vectors for: {', '.join(zero)}")
-        return self._matrix[idx] / norms[:, None]
+        rows = self._matrix[idx]
+        rows /= norms[:, None]
+        return rows
 
     def zero_norm_words(self) -> list[str]:
         """Words whose vector has norm zero (e.g. annihilated by projection)."""
@@ -269,9 +272,18 @@ def load_table(path, vocab_limit: int | None = None,
     finite decimal numbers in ASCII digits (`1.5`, `-2e-3`, `.5`); digit
     separators such as `1_0` and non-ASCII digits are rejected. A load that
     reads to the end of the file checks that the number of non-blank data
-    lines equals the header's count, so a truncated or overlong file fails.
-    A load that stops early, because `vocab_limit` entries and every required
-    word are in, does not read the rest and cannot check it.
+    lines equals the header's count, so a truncated or overlong file fails;
+    a file that keeps more rows than its header promises fails at the first
+    extra kept row. A load that stops early, because `vocab_limit` entries
+    and every required word are in, does not read the rest and cannot check
+    it.
+
+    Memory: the matrix is allocated once, for the fewest rows the header,
+    `vocab_limit` plus the required words, and the file's size allow, and
+    filled `_BLOCK_ROWS` kept rows at a time; the load peaks at about the
+    matrix's bytes plus one block of value text and floats. A header that
+    claims more rows than the file can hold allocates no more than the file
+    allows.
     """
     path = Path(path)
     if vocab_limit is not None and vocab_limit <= 0:
@@ -281,13 +293,12 @@ def load_table(path, vocab_limit: int | None = None,
     words: list[str] = []
     seen: set[str] = set()
     pending = set(required)
-    blocks: list[np.ndarray] = []
     texts: list[str] = []      # value fields of kept rows not yet converted
     linenos: list[int] = []
 
     def convert() -> None:
         if texts:
-            blocks.append(_parse_block(path, texts, linenos, dim))
+            matrix[len(words) - len(texts):len(words)] = _parse_block(path, texts, linenos, dim)
             texts.clear()
             linenos.clear()
 
@@ -296,6 +307,13 @@ def load_table(path, vocab_limit: int | None = None,
         if not header:
             raise FormatError(f"{path}: empty file")
         count, dim = _parse_header(header.rstrip("\r\n"), path)
+        # A data line takes dim + 1 fields of a byte or more, dim separators
+        # and a line end (which the header's four or more bytes cover for a
+        # last line without one), so the file holds at most this many rows.
+        file_rows = os.fstat(handle.fileno()).st_size // (2 * (dim + 1))
+        capacity = min(count, limit + len(required), file_rows)
+        # A file with no room for a row may claim a dimension no array can have.
+        matrix = np.empty((capacity, dim if capacity else 0))
         rows = 0
         for lineno, raw in enumerate(handle, start=2):
             line = raw.rstrip("\r\n")
@@ -313,6 +331,12 @@ def load_table(path, vocab_limit: int | None = None,
             word = line[:line.index(" ")]
             if word in seen or (len(words) >= limit and word not in required):
                 continue
+            if len(words) == len(matrix):
+                # Kept rows never outnumber the file's rows or the limit plus
+                # the required words, so this row is past the header's count.
+                convert()
+                raise FormatError(f"{path}:{lineno}: header promises {count} rows, "
+                                  f"file holds at least {count + 1}")
             words.append(word)
             seen.add(word)
             pending.discard(word)
@@ -327,11 +351,15 @@ def load_table(path, vocab_limit: int | None = None,
                 raise FormatError(f"{path}: header promises {count} rows, "
                                   f"file holds {rows}")
     convert()
+    matrix.resize((len(words), dim), refcheck=False)
     missing = tuple(sorted(pending))
     if missing:
         log.warning("%s: %d required words absent from file: %s",
                     path, len(missing), ", ".join(missing[:10]))
-    return EmbeddingTable(words, np.concatenate(blocks), missing_required=missing)
+    try:
+        return EmbeddingTable(words, matrix, missing_required=missing)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _parse_values(texts: list[str], dim: int) -> np.ndarray:

@@ -23,8 +23,11 @@ from .lexicon import (FEMININE, MASCULINE, MIN_SET_WORDS, AnalogyQuestion,
 log = logging.getLogger(__name__)
 
 GG_MIN_TARGETS = 8
-# Analogy questions scored per matrix product against the whole vocabulary.
+# Analogy questions scored per matrix product against the whole vocabulary:
+# at most ANALOGY_CHUNK, and fewer when their (questions x vocabulary) score
+# matrix would exceed _SCORE_BYTES.
 ANALOGY_CHUNK = 256
+_SCORE_BYTES = 64 * 2**20
 
 
 @dataclass(frozen=True)
@@ -260,9 +263,10 @@ def analogy_accuracy(questions: list[AnalogyQuestion], table: EmbeddingTable,
     def unit(i: int) -> np.ndarray:
         return matrix[i] / norms[i]
 
+    chunk_rows = max(1, min(ANALOGY_CHUNK, _SCORE_BYTES // (8 * len(table))))
     correct = 0
-    for start in range(0, len(attempted), ANALOGY_CHUNK):
-        chunk = attempted[start:start + ANALOGY_CHUNK]
+    for start in range(0, len(attempted), chunk_rows):
+        chunk = attempted[start:start + chunk_rows]
         queries = np.stack([unit(rb) - unit(ra) + unit(rc) for _, ra, rb, rc in chunk])
         scores = queries @ matrix.T
         scores /= divisor

@@ -3,8 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ggsignal import classifier
 from ggsignal.embeddings import EmbeddingTable, load_table
 from ggsignal.lexicon import load_stimuli
+from ggsignal.seeding import rng_for
 
 DATA = Path(__file__).parent / "data"
 
@@ -33,6 +35,21 @@ def write_vec(tmp_path):
         return path
 
     return _write
+
+
+@pytest.fixture
+def training_split():
+    """Rows and labels that `train(pos, neg, config)` trains on: the samples
+    its holdout split keeps, positives first."""
+
+    def _split(pos, neg, config):
+        rng = rng_for(config.seed, "holdout")
+        pos_idx, _ = classifier._stratified_split(len(pos), config.holdout_fraction, rng)
+        neg_idx, _ = classifier._stratified_split(len(neg), config.holdout_fraction, rng)
+        return (np.vstack([pos[pos_idx], neg[neg_idx]]),
+                np.concatenate([np.ones(len(pos_idx)), -np.ones(len(neg_idx))]))
+
+    return _split
 
 
 def table_from(words, matrix) -> EmbeddingTable:

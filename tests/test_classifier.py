@@ -18,11 +18,11 @@ def clusters(separation=5.0, spread=0.5, n=50, seed=0):
     return pos, neg
 
 
-def test_separable_clusters_reach_perfect_holdout():
+def test_separable_clusters_reach_perfect_holdout(training_split):
     pos, neg = clusters()
     model = train(pos, neg, TrainConfig(seed=1))
     assert model.holdout_accuracy == 1.0
-    assert model.train_accuracy == 1.0
+    assert accuracy(model, *training_split(pos, neg, TrainConfig(seed=1))) == 1.0
 
 
 def test_identical_classes_sit_at_chance():
@@ -33,31 +33,27 @@ def test_identical_classes_sit_at_chance():
 
 
 def test_decision_direction_normalizes():
-    model = LinearModel(weights=np.array([3.0, 4.0]), bias=0.0,
-                        train_accuracy=1.0, holdout_accuracy=1.0)
+    model = LinearModel(weights=np.array([3.0, 4.0]), bias=0.0, holdout_accuracy=1.0)
     direction = decision_direction(model)
     assert np.allclose(direction, [0.6, 0.8])
     assert abs(np.linalg.norm(direction) - 1.0) <= 1e-12
 
 
 def test_decision_direction_zero_weights_error():
-    model = LinearModel(weights=np.zeros(2), bias=0.0,
-                        train_accuracy=0.0, holdout_accuracy=0.0)
+    model = LinearModel(weights=np.zeros(2), bias=0.0, holdout_accuracy=0.0)
     with pytest.raises(NumericError):
         decision_direction(model)
 
 
 def test_accuracy_trivial_and_flipped():
-    model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0,
-                        train_accuracy=0.0, holdout_accuracy=0.0)
+    model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0, holdout_accuracy=0.0)
     samples = np.array([[1.0, 0.0], [-1.0, 0.0]])
     assert accuracy(model, samples, [1, -1]) == 1.0
     assert accuracy(model, samples, [-1, 1]) == 0.0
 
 
 def test_accuracy_tie_counts_as_negative():
-    model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0,
-                        train_accuracy=0.0, holdout_accuracy=0.0)
+    model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0, holdout_accuracy=0.0)
     on_plane = np.array([[0.0, 1.0]])
     assert accuracy(model, on_plane, [-1]) == 1.0
     assert accuracy(model, on_plane, [1]) == 0.0
@@ -67,14 +63,12 @@ def test_accuracy_chance_level_on_random_labels():
     rng = np.random.default_rng(9)
     samples = rng.normal(size=(2000, 10))
     labels = rng.choice([-1.0, 1.0], size=2000)
-    model = LinearModel(weights=rng.normal(size=10), bias=0.0,
-                        train_accuracy=0.0, holdout_accuracy=0.0)
+    model = LinearModel(weights=rng.normal(size=10), bias=0.0, holdout_accuracy=0.0)
     assert accuracy(model, samples, labels) == pytest.approx(0.5, abs=0.05)
 
 
 def test_accuracy_rejects_empty_and_mismatched():
-    model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0,
-                        train_accuracy=0.0, holdout_accuracy=0.0)
+    model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0, holdout_accuracy=0.0)
     with pytest.raises(DataError):
         accuracy(model, np.zeros((0, 2)), [])
     with pytest.raises(DataError):
@@ -100,10 +94,10 @@ def test_direction_invariant_under_uniform_scaling(scale):
     assert np.max(np.abs(base - scaled)) <= 1e-6
 
 
-def test_separable_data_reaches_zero_training_error():
+def test_separable_data_reaches_zero_training_error(training_split):
     pos, neg = clusters(separation=3.0, spread=0.3, seed=6)
     model = train(pos, neg, TrainConfig(seed=7))
-    assert model.train_accuracy == 1.0
+    assert accuracy(model, *training_split(pos, neg, TrainConfig(seed=7))) == 1.0
 
 
 def test_planted_direction_recovery():
@@ -178,13 +172,10 @@ def reference_train(pos, neg, config):
             if margin < 1.0:
                 u += y_train[i] * x_train[i]
     w_aug = u / (lam * t)
-    model = LinearModel(weights=w_aug[:-1] / scale, bias=float(w_aug[-1]),
-                        train_accuracy=0.0, holdout_accuracy=0.0)
+    model = LinearModel(weights=w_aug[:-1] / scale, bias=float(w_aug[-1]), holdout_accuracy=0.0)
     hold_labels = np.concatenate([np.ones(len(pos_hold_idx)), -np.ones(len(neg_hold_idx))])
     return LinearModel(
         weights=model.weights, bias=model.bias,
-        train_accuracy=accuracy(model, np.vstack([pos[pos_train_idx], neg[neg_train_idx]]),
-                                y_train),
         holdout_accuracy=accuracy(model, np.vstack([pos[pos_hold_idx], neg[neg_hold_idx]]),
                                   hold_labels))
 
@@ -219,17 +210,21 @@ def _case(name):
 
 @pytest.mark.parametrize("name", ["separable", "chance", "imbalanced", "odd-sizes",
                                   "two-per-class", "one-epoch", "zero-column", "tiny", "huge"])
-def test_train_matches_per_sample_reference_bitwise(name):
+def test_train_matches_per_sample_reference_bitwise(name, training_split):
     pos, neg, config = _case(name)
     expected = reference_train(pos, neg, config)
     model = train(pos, neg, config)
     assert np.array_equal(model.weights, expected.weights)
     assert model.bias == expected.bias
-    assert model.train_accuracy == expected.train_accuracy
+    rows, labels = training_split(pos, neg, config)
+    assert accuracy(model, rows, labels) == accuracy(expected, rows, labels)
     assert model.holdout_accuracy == expected.holdout_accuracy
 
 
-def test_train_peak_memory_is_twice_the_training_matrix():
+def test_train_peak_memory_is_one_training_matrix(monkeypatch):
+    # 64-row gathers: the training rows span many blocks, so a gathered copy
+    # of either class would exceed the bound.
+    monkeypatch.setattr(classifier, "_GATHER_ROWS", 64)
     rng = np.random.default_rng(12)
     pos = rng.normal(size=(500, 300)) + 0.05
     neg = rng.normal(size=(500, 300)) - 0.05
@@ -241,4 +236,4 @@ def test_train_peak_memory_is_twice_the_training_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * n_train * 301 * pos.itemsize
+    assert peak <= 1.3 * n_train * 301 * pos.itemsize

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -264,7 +265,10 @@ def reference_load(path, vocab_limit=None, required_words=None):
                 break
     if not words:
         raise FormatError(f"{path}: no entries loaded")
-    return EmbeddingTable(words, np.vstack(vectors), missing_required=tuple(sorted(pending)))
+    try:
+        return EmbeddingTable(words, np.vstack(vectors), missing_required=tuple(sorted(pending)))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def reference_save_bytes(table):
@@ -433,6 +437,92 @@ def test_header_count_mismatch_raises_when_read_to_end(tmp_path, count, rows):
         load_table(path)
     with pytest.raises(FormatError, match="header promises"):
         load_table(path, vocab_limit=5, required_words=["b"])
+
+
+def test_overlong_file_fails_at_first_extra_kept_row(tmp_path):
+    path = tmp_path / "t.vec"
+    path.write_text("2 2\na 1 0\na 2 2\nb 0 1\nc 3 3\nd 4 4\n", encoding="utf-8")
+    message = rf"{path}:5: header promises 2 rows, file holds at least 3$"
+    with pytest.raises(FormatError, match=message):
+        load_table(path)
+    # A load that would stop early fails too once it keeps a row too many.
+    with pytest.raises(FormatError, match=message):
+        load_table(path, vocab_limit=2, required_words=["c"])
+    assert load_table(path, vocab_limit=2).words == ("a", "b")
+
+
+@pytest.mark.parametrize("vocab_limit", [None, 2, 5])
+def test_huge_header_count_allocates_only_what_the_file_holds(tmp_path, vocab_limit):
+    path = tmp_path / "t.vec"
+    path.write_text("999999999999 2\na 1 0\nb 0 1\nc 1 1\n", encoding="utf-8")
+    tracemalloc.start()
+    try:
+        if vocab_limit == 2:
+            assert load_table(path, vocab_limit=vocab_limit).words == ("a", "b")
+        else:
+            with pytest.raises(FormatError,
+                               match=rf"{path}: header promises 999999999999 rows, "
+                                     "file holds 3$"):
+                load_table(path, vocab_limit=vocab_limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_load_peak_memory_is_one_matrix_plus_one_block(tmp_path, monkeypatch):
+    # 64-row blocks: the table spans many blocks, so holding the parsed blocks
+    # beside the matrix would exceed the bound.
+    monkeypatch.setattr(embeddings, "_BLOCK_ROWS", 64)
+    rng = np.random.default_rng(3)
+    table = EmbeddingTable([f"w{i}" for i in range(2000)], rng.normal(size=(2000, 300)))
+    path = tmp_path / "t.vec"
+    save_table(table, path)
+    line_bytes = path.stat().st_size / len(table)
+    tracemalloc.start()
+    try:
+        loaded = load_table(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert loaded.matrix.shape == table.matrix.shape
+    block = embeddings._BLOCK_ROWS * (line_bytes + table.matrix.itemsize * table.dimension)
+    assert peak <= 1.1 * loaded.matrix.nbytes + block
+
+
+def _mutations(content: bytes):
+    """One of: truncate at a byte, replace a byte, insert a byte-order mark,
+    a NUL or a bare CR."""
+    at = st.integers(0, len(content))
+    return st.one_of(
+        at.map(lambda i: content[:i]),
+        st.tuples(st.integers(0, len(content) - 1), st.integers(1, 255)).map(
+            lambda m: content[:m[0]] + bytes([content[m[0]] ^ m[1]]) + content[m[0] + 1:]),
+        st.tuples(at, st.sampled_from(["\ufeff".encode("utf-8"), b"\0", b"\r"])).map(
+            lambda m: content[:m[0]] + m[1] + content[m[0]:]))
+
+
+TABLE_BYTES = b"5 3\nde 0.5 -1.25e-05 3\nder 1 0 0\ndie -0.25 2 1e3\nde 7 7 7\nhaus 0 0 0\n"
+MUTATED_READERS = {
+    "table": (TABLE_BYTES, load_table),
+    "table-limit": (TABLE_BYTES, lambda path: load_table(path, vocab_limit=2)),
+    "table-required": (TABLE_BYTES,
+                       lambda path: load_table(path, vocab_limit=1, required_words=["die"])),
+    "stack": (b"2 3\n0.6 0.8 0\n-0.8 0.6 0\n", load_stack),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), reader=st.sampled_from(sorted(MUTATED_READERS)))
+def test_mutated_inputs_load_or_raise_format_error_naming_path(tmp_path_factory, data,
+                                                               reader):
+    content, load = MUTATED_READERS[reader]
+    path = tmp_path_factory.mktemp("mutated") / "input.txt"
+    path.write_bytes(data.draw(_mutations(content)))
+    try:
+        load(path)
+    except FormatError as exc:
+        assert str(exc).startswith(str(path)), exc
 
 
 def test_header_count_counts_skipped_and_duplicate_lines(tmp_path):

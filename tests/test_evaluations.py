@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ggsignal.classifier import TrainConfig, train
+from ggsignal import evaluations
+from ggsignal.classifier import TrainConfig, accuracy, train
 from ggsignal.disentangler import DisentangleConfig, HyperplaneStack, apply_stack, run
 from ggsignal.embeddings import EmbeddingTable
 from ggsignal.errors import DataError, NumericError, ZeroVectorError
@@ -340,6 +341,23 @@ def test_analogy_copy_free_scoring_matches_unit_copy():
     assert analogy_accuracy(questions, table) == (1.0, 300)
 
 
+@pytest.mark.parametrize("per_chunk", [1, 2, 3])
+def test_analogy_chunk_from_score_budget_keeps_results(monkeypatch, per_chunk):
+    rng = np.random.default_rng(43)
+    words = [f"w{i}" for i in range(200)]
+    table = EmbeddingTable(words, rng.normal(size=(200, 8)))
+    picks = [rng.choice(200, 3, replace=False) for _ in range(40)]
+    queries = [AnalogyQuestion(words[i], words[j], words[k], "", "s") for i, j, k in picks]
+    winners = _unit_copy_winners(queries, table)
+    # Half the questions expect their winner, the rest another word.
+    questions = [AnalogyQuestion(q.a, q.b, q.c, d if n % 2 else words[n], "s")
+                 for n, (q, d) in enumerate(zip(queries, winners))]
+    expected = analogy_accuracy(questions, table)
+    assert 0.0 < expected[0] < 1.0
+    monkeypatch.setattr(evaluations, "_SCORE_BYTES", per_chunk * 8 * len(table) + 7)
+    assert analogy_accuracy(questions, table) == expected
+
+
 # --- pairwise gap ----------------------------------------------------------------
 
 GAP_LEXICON = GenderLexicon("xx", ("luna", "casa"), ("sol", "rio"))
@@ -449,7 +467,7 @@ def test_pairwise_gap_skips_pairs_without_direction():
 
 # --- principal coordinates --------------------------------------------------------
 
-def test_principal_coordinates_show_then_hide_gender():
+def test_principal_coordinates_show_then_hide_gender(training_split):
     table, lexicon, planted, _ = generate(SynthConfig(
         dimension=40, per_class=100, signal_strength=5.0, noise_scale=0.4, seed=41))
     words = list(lexicon.feminine) + list(lexicon.masculine)
@@ -457,9 +475,9 @@ def test_principal_coordinates_show_then_hide_gender():
     coords_before = principal_coordinates(table.rows(words))
 
     def separability(coords):
-        model = train(coords[labels > 0], coords[labels < 0],
-                      TrainConfig(regularization_strength=0.1, epochs=30, seed=41))
-        return model.train_accuracy
+        pos, neg = coords[labels > 0], coords[labels < 0]
+        config = TrainConfig(regularization_strength=0.1, epochs=30, seed=41)
+        return accuracy(train(pos, neg, config), *training_split(pos, neg, config))
 
     assert separability(coords_before) >= 0.8
     config = DisentangleConfig(per_class=100, seed=41,
