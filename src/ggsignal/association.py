@@ -16,9 +16,12 @@ Conventions pinned here and relied on by every caller:
   `exact_limit`; beyond that a seeded Monte Carlo estimate with
   ``p = (count + 1) / (samples + 1)`` is used and recorded as such.
 
-All functions are pure over immutable inputs. Monte Carlo sampling is
-vectorized and consumes a single seeded stream, so results do not depend on
-thread counts.
+All functions are pure over immutable inputs. A p-value counts over one
+read-only index matrix of partitions: every partition in exact mode, or the
+draws of the seeded stream ``rng_for(seed, "permutation")`` in Monte Carlo
+mode. Each matrix is built once per process and cached, so calls with the
+same seed and sizes count over the same partitions, and results depend on
+neither thread counts nor call order.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -44,6 +47,12 @@ class PermutationConfig:
     exact_limit: int = 200_000
     samples: int = 100_000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.exact_limit < 0:
+            raise ValueError("exact_limit must be >= 0")
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -117,11 +126,35 @@ def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: Stimu
     return (cos_a.mean(axis=1) - cos_b.mean(axis=1)) / spread
 
 
+def _index_dtype(n_items: int) -> np.dtype:
+    """The smallest unsigned type that holds every item index."""
+    return np.min_scalar_type(n_items - 1)
+
+
 @lru_cache(maxsize=4)
 def _exact_index_matrix(n_items: int, group_size: int) -> np.ndarray:
-    flat = np.fromiter((i for c in combinations(range(n_items), group_size) for i in c),
-                       dtype=np.intp)
-    matrix = flat.reshape(-1, group_size)
+    """Every `group_size`-subset of `n_items`, one per row in lexicographic order."""
+    count = comb(n_items, group_size)
+    flat = np.fromiter(chain.from_iterable(combinations(range(n_items), group_size)),
+                       dtype=_index_dtype(n_items), count=count * group_size)
+    matrix = flat.reshape(count, group_size)
+    matrix.setflags(write=False)
+    return matrix
+
+
+@lru_cache(maxsize=4)
+def _monte_carlo_index_matrix(n_items: int, samples: int, seed: int) -> np.ndarray:
+    """`samples` random first halves of `n_items`, one per row.
+
+    Drawn from `rng_for(seed, "permutation")` in batches of 4096 rows: each
+    row keeps the `n_items // 2` smallest of `n_items` uniform keys.
+    """
+    group = n_items // 2
+    matrix = np.empty((samples, group), dtype=_index_dtype(n_items))
+    rng = rng_for(seed, "permutation")
+    for start in range(0, samples, 4096):
+        keys = rng.random((min(4096, samples - start), n_items))
+        matrix[start:start + len(keys)] = np.argpartition(keys, group - 1, axis=1)[:, :group]
     matrix.setflags(write=False)
     return matrix
 
@@ -135,7 +168,8 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
     the identity partition's, which goes through the same gather and sum so
     that it never counts itself. Exact mode enumerates every partition when
     their count is at most `config.exact_limit`; otherwise a seeded Monte
-    Carlo estimate is drawn.
+    Carlo estimate is drawn. Either way the partitions come from a cached
+    index matrix (see `_exact_index_matrix`, `_monte_carlo_index_matrix`).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or len(scores) < 2 or len(scores) % 2:
@@ -143,23 +177,18 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
                         f"got shape {scores.shape}")
     n_items = len(scores)
     group = n_items // 2
-    observed = scores[np.arange(group)[None, :]].sum(axis=1)[0]
     total = comb(n_items, group)
-    if total <= config.exact_limit:
+    exact = total <= config.exact_limit
+    if exact:
         idx = _exact_index_matrix(n_items, group)
-        count = 0
-        for start in range(0, total, 65536):
-            count += int(np.sum(scores[idx[start:start + 65536]].sum(axis=1) > observed))
-        return count / total, PValueMethod("exact", partitions=total)
-    rng = rng_for(config.seed, "permutation")
+    else:
+        idx = _monte_carlo_index_matrix(n_items, config.samples, config.seed)
+    observed = scores.take(np.arange(group, dtype=idx.dtype)[None, :]).sum(axis=1)[0]
     count = 0
-    remaining = config.samples
-    while remaining > 0:
-        batch = min(remaining, 4096)
-        keys = rng.random((batch, n_items))
-        idx = np.argpartition(keys, group - 1, axis=1)[:, :group]
-        count += int(np.sum(scores[idx].sum(axis=1) > observed))
-        remaining -= batch
+    for start in range(0, len(idx), 65536):
+        count += int(np.sum(scores.take(idx[start:start + 65536]).sum(axis=1) > observed))
+    if exact:
+        return count / total, PValueMethod("exact", partitions=total)
     p = (count + 1) / (config.samples + 1)
     return p, PValueMethod("monte-carlo", samples=config.samples, seed=config.seed)
 

@@ -59,6 +59,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """Argument type: an integer no smaller than `minimum`."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+    return integer
+
+
+def _config(factory: Callable, **fields):
+    """`factory(**fields)`; a field value the configuration rejects is a usage
+    error, reported in the configuration's words."""
+    try:
+        return factory(**fields)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _resolve(path: str | None) -> Path | None:
     if path is None:
         return None
@@ -118,6 +137,8 @@ def _default_stimuli_path() -> Path:
 def _table(args, flag: str, required: list[str]) -> EmbeddingTable:
     # With a vocabulary cutoff, words the command is about to test must stay
     # loadable even when ranked below the cutoff.
+    if args.vocab_limit is not None and args.vocab_limit < 1:
+        raise UsageError("vocab_limit must be positive")
     return load_table(_resolve(getattr(args, flag)), vocab_limit=args.vocab_limit,
                       required_words=required if args.vocab_limit else None)
 
@@ -135,8 +156,6 @@ def _gender_sample(args, lexicon: GenderLexicon, tables: tuple[EmbeddingTable, .
                    label: str) -> tuple[list[str], list[str]]:
     """Seeded balanced draw of --per-gender lexicon words per gender among
     those in every one of `tables`, reduced to the lexicon's coverage there."""
-    if args.per_gender < 1:
-        raise UsageError("--per-gender must be positive")
     usable = lexicon.restricted_to(w for w in lexicon.words if all(w in t for t in tables))
     per_gender = min(args.per_gender, len(usable.feminine), len(usable.masculine))
     if per_gender < args.per_gender:
@@ -160,9 +179,9 @@ def _add_table_args(parser: _Parser) -> None:
 
 def _add_perm_args(parser: _Parser) -> None:
     defaults = PermutationConfig()
-    parser.add_argument("--p-samples", type=int, default=defaults.samples,
+    parser.add_argument("--p-samples", type=_at_least(1), default=defaults.samples,
                         help="Monte Carlo sample count when enumeration is infeasible")
-    parser.add_argument("--exact-limit", type=int, default=defaults.exact_limit,
+    parser.add_argument("--exact-limit", type=_at_least(0), default=defaults.exact_limit,
                         help="max partition count for exact enumeration")
     _add_set_args(parser)
 
@@ -202,17 +221,18 @@ def _per_condition(args, required: list[str], measure: Callable[[EmbeddingTable]
 # ---------------------------------------------------------------- disentangle
 
 def _cmd_disentangle(args) -> dict:
-    lexicon = _lexicon(args)
-    table = _table(args, "embeddings", list(lexicon.words))
-    config = DisentangleConfig(
+    config = _config(
+        DisentangleConfig,
         max_iterations=args.iterations,
         stop_accuracy=args.stop_accuracy,
         per_class=args.per_class,
-        classifier=TrainConfig(regularization_strength=args.regularization,
-                               epochs=args.epochs, holdout_fraction=args.holdout,
-                               seed=derive_seed(args.seed, "classifier")),
+        classifier=_config(TrainConfig, regularization_strength=args.regularization,
+                           epochs=args.epochs, holdout_fraction=args.holdout,
+                           seed=derive_seed(args.seed, "classifier")),
         seed=args.seed,
     )
+    lexicon = _lexicon(args)
+    table = _table(args, "embeddings", list(lexicon.words))
     transformed, stack = run_disentangle(table, lexicon, config)
 
     missing_lexicon = [w for w in lexicon.words if w not in table]
@@ -351,11 +371,10 @@ def _cmd_sweep(args) -> dict:
 
 
 def _cmd_synth(args) -> dict:
-    config = SynthConfig(dimension=args.dimension, per_class=args.per_class,
-                         signal_strength=args.signal, noise_scale=args.noise,
-                         class_imbalance=args.imbalance,
-                         second_direction_strength=args.second_signal,
-                         seed=args.seed)
+    config = _config(SynthConfig, dimension=args.dimension, per_class=args.per_class,
+                     signal_strength=args.signal, noise_scale=args.noise,
+                     class_imbalance=args.imbalance,
+                     second_direction_strength=args.second_signal, seed=args.seed)
     table, lexicon, direction, base_table = generate(config)
     save_table(table, args.out_embeddings)
     if args.out_base:
@@ -485,7 +504,7 @@ def build_parser() -> _Parser:
     p.add_argument("--stimuli", default=stimuli)
     p.add_argument("--attributes-f", required=True, help="semantically feminine set key")
     p.add_argument("--attributes-m", required=True, help="semantically masculine set key")
-    p.add_argument("--per-gender", type=int, default=2000)
+    p.add_argument("--per-gender", type=_at_least(1), default=2000)
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
     p.add_argument("--vocab-limit", type=int, default=None)
@@ -513,7 +532,7 @@ def build_parser() -> _Parser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--animacy")
     p.add_argument("--vocab-limit", type=int, default=None)
-    p.add_argument("--per-gender", type=int, default=500)
+    p.add_argument("--per-gender", type=_at_least(1), default=500)
     p.add_argument("--out-csv", required=True)
     common(p)
     p.set_defaults(handler=_cmd_pca_coords)
@@ -535,8 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         _write_report(args, argv, args.handler(args))
-    except (UsageError, ValueError) as exc:
-        # ValueError: an option value the configuration objects reject.
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

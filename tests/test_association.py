@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from ggsignal.association import (PermutationConfig, PValueMethod, _exact_index_matrix,
-                                  permutation_p, sc_effect_sizes, sc_weat, weat)
+                                  _monte_carlo_index_matrix, permutation_p, sc_effect_sizes,
+                                  sc_weat, weat)
 from ggsignal.embeddings import EmbeddingTable
 from ggsignal.errors import (DataError, MissingWordsError, UndersizedSetError,
                              ZeroVectorError)
@@ -279,6 +280,61 @@ def test_permutation_p_matches_callback_reference(n_items, statistic):
         expected = _callback_permutation_p(fn, observed, n_items, group, config)
         assert permutation_p(pooled, config) == expected
         assert expected[1].kind == ("exact" if n_items <= 20 else "monte-carlo")
+
+
+def test_interleaved_calls_match_uncached_reference():
+    # The reference redraws its stream on every call, so it sees no cache;
+    # seed A, then seed B, then A again must not change what A counts over.
+    calls = [(24, 20_000, 3), (24, 20_000, 4), (24, 20_000, 3), (32, 5_000, 3),
+             (24, 5_000, 3), (32, 5_000, 4), (24, 20_000, 4), (32, 5_000, 3)]
+    for n_items, samples, seed in calls:
+        config = PermutationConfig(exact_limit=0, samples=samples, seed=seed)
+        pooled = np.random.default_rng([n_items, samples]).normal(size=n_items)
+        fn = _weat_statistic(pooled)
+        group = n_items // 2
+        observed = float(fn(np.arange(group)[None, :])[0])
+        assert permutation_p(pooled, config) == _callback_permutation_p(
+            fn, observed, n_items, group, config)
+
+
+@pytest.mark.parametrize("n_items, dtype", [(24, np.uint8), (256, np.uint8),
+                                            (300, np.uint16)])
+def test_cached_monte_carlo_matrix_is_compact_and_read_only(n_items, dtype):
+    samples = 5_000
+    matrix = _monte_carlo_index_matrix(n_items, samples, 11)
+    assert matrix.dtype == dtype
+    assert matrix.shape == (samples, n_items // 2)
+    assert matrix.nbytes == samples * (n_items // 2) * np.dtype(dtype).itemsize
+    assert not matrix.flags.writeable
+    assert _monte_carlo_index_matrix(n_items, samples, 11) is matrix
+    # Every row is a set of distinct items.
+    assert (np.sort(matrix, axis=1)[:, 1:] != np.sort(matrix, axis=1)[:, :-1]).all()
+
+
+def test_cached_exact_matrix_is_compact_and_read_only():
+    matrix = _exact_index_matrix(20, 10)
+    assert matrix.dtype == np.uint8
+    assert matrix.shape == (math.comb(20, 10), 10)
+    assert not matrix.flags.writeable
+    assert matrix[0].tolist() == list(range(10))
+    assert matrix[-1].tolist() == list(range(10, 20))
+
+
+def test_permutation_p_ties_never_count():
+    # Identity partition {0, 1} sums to 1. Of the six partitions only {1, 2}
+    # (sum 2) is strictly greater; the tied {0, 2}, {1, 3}, {2, 3} are not.
+    p, method = permutation_p(np.array([0.0, 1.0, 1.0, 0.0]))
+    assert (p, method.partitions) == (1 / 6, 6)
+    p, _ = permutation_p(np.full(16, 0.25))
+    assert p == 0.0
+    p, _ = permutation_p(np.full(24, 0.25), PermutationConfig(exact_limit=0, samples=100))
+    assert p == 1 / 101
+
+
+@pytest.mark.parametrize("fields", [{"samples": 0}, {"samples": -5}, {"exact_limit": -1}])
+def test_permutation_config_rejects_impossible_values(fields):
+    with pytest.raises(ValueError, match="samples|exact_limit"):
+        PermutationConfig(**fields)
 
 
 def test_exact_and_monte_carlo_agree(fixture_table, fixture_stimuli):

@@ -131,6 +131,13 @@ def test_weat_usage_error_exit_code(env):
     (["synth", "--per-class", "5"], "per_class must be at least 16"),
     (["disentangle", "--stop-accuracy", "0.4"], "stop_accuracy must be in"),
     (["disentangle", "--vocab-limit", "0"], "vocab_limit must be positive"),
+    (["synth", "--dimension", "1"], "dimension must be at least 2"),
+    (["synth", "--imbalance", "0"], "class_imbalance must be positive"),
+    (["disentangle", "--per-class", "0"], "per_class must be positive"),
+    (["disentangle", "--iterations", "-1"], "max_iterations must be >= 0"),
+    (["disentangle", "--epochs", "0"], "epochs must be a positive integer"),
+    (["disentangle", "--regularization", "0"], "regularization_strength must be positive"),
+    (["disentangle", "--holdout", "1.5"], "holdout_fraction must be in (0, 1)"),
 ])
 def test_rejected_option_values_are_usage_errors(env, tmp_path, capsys, extra, message):
     command, *options = extra
@@ -141,6 +148,46 @@ def test_rejected_option_values_are_usage_errors(env, tmp_path, capsys, extra, m
     assert main([command, *inputs, *options, "--report", str(report)]) == 1
     assert f"usage error: {message}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--p-samples", "-5"), ("--p-samples", "0"), ("--exact-limit", "-1"),
+    ("--p-samples", "many")])
+def test_permutation_option_values_are_usage_errors_naming_the_flag(env, tmp_path, capsys,
+                                                                    flag, value):
+    report = tmp_path / "r.json"
+    assert main(["weat", "--stimuli", str(env["stimuli"]),
+                 "--targets-x", "syn.targets.f", "--targets-y", "syn.targets.m",
+                 "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
+                 "--embeddings", str(env["table"]), "--exact-limit", "1",
+                 flag, value, "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and flag in err
+    assert not report.exists()
+
+
+def test_smallest_permutation_option_values_run(env, tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["weat", "--stimuli", str(env["stimuli"]),
+                 "--targets-x", "syn.targets.f", "--targets-y", "syn.targets.m",
+                 "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
+                 "--embeddings", str(env["table"]), "--exact-limit", "0",
+                 "--p-samples", "1", "--report", str(report)]) == 0
+    result = read(report)["results"]["table"]
+    assert result["p_method"] == {"kind": "monte-carlo", "samples": 1, "seed": 0}
+    assert result["p_value"] in (0.5, 1.0)
+
+
+def test_value_error_outside_option_validation_is_not_a_usage_error(tmp_path, capsys,
+                                                                     monkeypatch):
+    from ggsignal import cli
+
+    def broken(args):
+        raise ValueError("internal fault")
+    monkeypatch.setattr(cli, "_cmd_synth", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["synth", "--out-embeddings", str(tmp_path / "x.vec")])
+    assert "usage error" not in capsys.readouterr().err
 
 
 def test_invalid_utf8_table_is_a_data_error(env, tmp_path, capsys):

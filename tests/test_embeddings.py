@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from ggsignal import embeddings
 from ggsignal.disentangler import load_stack
 from ggsignal.embeddings import EmbeddingTable, atomic_open, load_table, save_table
-from ggsignal.errors import FormatError, MissingWordsError, ZeroVectorError
-from ggsignal.lexicon import load_similarity_pairs, load_valence_norms
+from ggsignal.errors import DataError, FormatError, MissingWordsError, ZeroVectorError
+from ggsignal.lexicon import (load_analogies, load_gender_lexicon, load_similarity_pairs,
+                              load_stimuli, load_valence_norms)
 
 
 def cosine(a, b) -> float:
@@ -522,6 +523,41 @@ def test_mutated_inputs_load_or_raise_format_error_naming_path(tmp_path_factory,
     try:
         load(path)
     except FormatError as exc:
+        assert str(exc).startswith(str(path)), exc
+
+
+NOUNS_BYTES = "casa\tF\nmesa\tF\nluna\tF\n# comment\nlibro\tM\ngatto\tM\nsole\tM\n".encode()
+
+
+def _lexicon_with_animacy(path):
+    nouns = path.with_name("nouns.tsv")
+    nouns.write_bytes(NOUNS_BYTES)
+    return load_gender_lexicon(nouns, path)
+
+
+MUTATED_LEXICON_READERS = {
+    "lexicon-nouns": (NOUNS_BYTES, load_gender_lexicon),
+    "lexicon-animacy": ("casa\nsole\n".encode(), _lexicon_with_animacy),
+    "stimuli": ("# sets\n[en.a]\nuno\ndue\n\n[en.b]\ntre\nquattro\n".encode(), load_stimuli),
+    "pairs": ("casa\tmesa\t7.5\nluna\tsole\t2\tF\tM\n".encode(), load_similarity_pairs),
+    "norms": ("amore\t8.72\nguerra\t1.5e0\n".encode(), load_valence_norms),
+    "analogies": (": family\nking queen man woman\n: capital\nrome italy paris france\n".encode(),
+                  load_analogies),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), reader=st.sampled_from(sorted(MUTATED_LEXICON_READERS)))
+def test_mutated_lexicon_inputs_load_or_raise_data_error_naming_path(tmp_path_factory, data,
+                                                                     reader):
+    # Truncation can legitimately empty a lexicon or a list, which is a data
+    # error (exit 2) rather than a format error, so DataError is the rule here.
+    content, load = MUTATED_LEXICON_READERS[reader]
+    path = tmp_path_factory.mktemp("mutated") / "input.txt"
+    path.write_bytes(data.draw(_mutations(content)))
+    try:
+        load(path)
+    except DataError as exc:
         assert str(exc).startswith(str(path)), exc
 
 
