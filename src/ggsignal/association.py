@@ -12,16 +12,18 @@ Conventions pinned here and relied on by every caller:
   increase strictly with that sum, so this counts the partitions with a
   larger statistic. In exact mode the denominator is the number of all
   equal-size partitions, identity partition included.
-* Exact enumeration runs while the partition count is at most
-  `exact_limit`; beyond that a seeded Monte Carlo estimate with
+* Exact counting runs while the partition count is at most `exact_limit`;
+  beyond that a seeded Monte Carlo estimate with
   ``p = (count + 1) / (samples + 1)`` is used and recorded as such.
 
-All functions are pure over immutable inputs. A p-value counts over one
-read-only index matrix of partitions: every partition in exact mode, or the
-draws of the seeded stream ``rng_for(seed, "permutation")`` in Monte Carlo
-mode. Each matrix is built once per process and cached, so calls with the
-same seed and sizes count over the same partitions, and results depend on
-neither thread counts nor call order.
+All functions are pure over immutable inputs. Exact mode decides every
+partition by meet-in-the-middle subset-sum counting, certified by a rounding
+bound, so the count equals what gathering and summing each partition's
+sorted index row would give (see `_exact_count`). Monte Carlo mode counts
+over one read-only index matrix of the draws of the seeded stream
+``rng_for(seed, "permutation")``, built once per process and cached, so calls
+with the same seed and sizes count over the same partitions. Results depend
+on neither thread counts nor call order.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -40,6 +42,9 @@ from .lexicon import MIN_SET_WORDS, StimulusSet
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
+
+# Most partition rows gathered and summed at once.
+_CHUNK = 65536
 
 
 @dataclass(frozen=True)
@@ -131,15 +136,69 @@ def _index_dtype(n_items: int) -> np.dtype:
     return np.min_scalar_type(n_items - 1)
 
 
-@lru_cache(maxsize=4)
-def _exact_index_matrix(n_items: int, group_size: int) -> np.ndarray:
-    """Every `group_size`-subset of `n_items`, one per row in lexicographic order."""
-    count = comb(n_items, group_size)
-    flat = np.fromiter(chain.from_iterable(combinations(range(n_items), group_size)),
-                       dtype=_index_dtype(n_items), count=count * group_size)
-    matrix = flat.reshape(count, group_size)
-    matrix.setflags(write=False)
-    return matrix
+@lru_cache(maxsize=64)
+def _subset_rows(n_items: int, first: int, size: int) -> np.ndarray:
+    """Every `size`-subset of the half `range(first, first + n_items // 2)`,
+    one per row in lexicographic order."""
+    half = n_items // 2
+    rows = np.array(list(combinations(range(first, first + half), size)),
+                    dtype=_index_dtype(n_items)).reshape(comb(half, size), size)
+    rows.setflags(write=False)
+    return rows
+
+
+def _exact_count(scores: np.ndarray, observed: float) -> int:
+    """How many equal-size partitions have a first-set sum, taken as
+    `scores[rows].sum(axis=1)` over their sorted index rows, strictly greater
+    than `observed`: what enumerating every partition counts.
+
+    Meet in the middle (Horowitz & Sahni, J. ACM 1974): for each split of a
+    first set into `size` items of the first half and the rest from the
+    second, every left subset sum `a` meets the sorted right subset sums `b`.
+    Pairs with `b` above `observed - a + delta` count, pairs below
+    `observed - a - delta` do not, and only the undecided ones in between are
+    rebuilt as index rows and summed by the rule, `_CHUNK` rows at a time.
+
+    Why `delta` decides: any order of summing m terms is within
+    gamma_{m-1} * S of their real sum (gamma_m = m*u / (1 - m*u), u = eps / 2,
+    S = sum(|scores|)), so `a + b` and the rule's sum differ by under
+    2 * gamma_group * S, about n*u*S. Rounding `observed - a +- delta` adds at
+    most u * (4S + delta). That is under (n + 6)*u*S in all, against
+    delta = 8*(n + 1)*u*S. Additions with a subnormal result are exact, and
+    forming `delta` loses at most 2**-1075 to underflow: a small part of it
+    unless S is subnormal, and then every sum is exact. When `bound`
+    overflows, every pair is summed by the rule.
+    """
+    n_items = len(scores)
+    group = n_items // 2
+    with np.errstate(over="ignore"):
+        bound = 4 * (n_items + 1) * np.abs(scores).sum()
+    delta = bound * np.finfo(np.float64).eps
+    count = 0
+    for size in range(group + 1):
+        left = _subset_rows(n_items, 0, size)
+        right = _subset_rows(n_items, group, group - size)
+        a = scores.take(left).sum(axis=1)
+        b = scores.take(right).sum(axis=1)
+        order = np.argsort(b, kind="stable")
+        b = b[order]
+        if np.isfinite(bound):
+            lo = np.searchsorted(b, observed - a - delta, "left")
+            hi = np.searchsorted(b, observed - a + delta, "right")
+        else:
+            lo, hi = np.zeros(len(a), np.intp), np.full(len(a), len(b))
+        count += int((len(b) - hi).sum())
+        # Undecided pairs are numbered run by run: left subset i owns numbers
+        # edges[i] to edges[i + 1] - 1, for sorted positions lo[i] to hi[i] - 1.
+        edges = np.concatenate(([0], np.cumsum(hi - lo)))
+        for start in range(0, int(edges[-1]), _CHUNK):
+            stop = min(start + _CHUNK, int(edges[-1]))
+            i = np.repeat(np.arange(len(a)), np.diff(np.clip(edges, start, stop)))
+            rows = np.empty((stop - start, group), dtype=left.dtype)
+            rows[:, :size] = left.take(i, axis=0)
+            rows[:, size:] = right.take(order[np.arange(start, stop) - edges[i] + lo[i]], axis=0)
+            count += int(np.count_nonzero(scores[rows].sum(axis=1) > observed))
+    return count
 
 
 @lru_cache(maxsize=4)
@@ -163,32 +222,33 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
                   ) -> tuple[float, PValueMethod]:
     """One-sided p-value over equal-size two-set partitions of pooled scores.
 
-    `scores` holds one score per item, the observed first set's in its first
-    half. A partition counts when its first-set sum is strictly greater than
-    the identity partition's, which goes through the same gather and sum so
-    that it never counts itself. Exact mode enumerates every partition when
-    their count is at most `config.exact_limit`; otherwise a seeded Monte
-    Carlo estimate is drawn. Either way the partitions come from a cached
-    index matrix (see `_exact_index_matrix`, `_monte_carlo_index_matrix`).
+    `scores` holds one finite score per item, the observed first set's in its
+    first half. A partition counts when its first-set sum, gathered and summed
+    over its sorted index row, is strictly greater than the identity
+    partition's, which is summed the same way so that it never counts itself.
+    When the partition count is at most `config.exact_limit`, every partition
+    is decided by meet-in-the-middle counting (`_exact_count`), exactly as
+    summing each one would decide it; otherwise a seeded Monte Carlo estimate
+    counts over a cached index matrix (`_monte_carlo_index_matrix`).
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or len(scores) < 2 or len(scores) % 2:
         raise DataError(f"permutation needs an even number of at least 2 pooled scores, "
                         f"got shape {scores.shape}")
     n_items = len(scores)
+    not_finite = n_items - int(np.count_nonzero(np.isfinite(scores)))
+    if not_finite:
+        raise NumericError(f"{not_finite} of {n_items} pooled scores are not finite; "
+                           f"no p-value")
     group = n_items // 2
+    observed = scores.take(np.arange(group)[None, :]).sum(axis=1)[0]
     total = comb(n_items, group)
-    exact = total <= config.exact_limit
-    if exact:
-        idx = _exact_index_matrix(n_items, group)
-    else:
-        idx = _monte_carlo_index_matrix(n_items, config.samples, config.seed)
-    observed = scores.take(np.arange(group, dtype=idx.dtype)[None, :]).sum(axis=1)[0]
+    if total <= config.exact_limit:
+        return _exact_count(scores, observed) / total, PValueMethod("exact", partitions=total)
+    idx = _monte_carlo_index_matrix(n_items, config.samples, config.seed)
     count = 0
-    for start in range(0, len(idx), 65536):
-        count += int(np.sum(scores.take(idx[start:start + 65536]).sum(axis=1) > observed))
-    if exact:
-        return count / total, PValueMethod("exact", partitions=total)
+    for start in range(0, len(idx), _CHUNK):
+        count += int(np.sum(scores.take(idx[start:start + _CHUNK]).sum(axis=1) > observed))
     p = (count + 1) / (config.samples + 1)
     return p, PValueMethod("monte-carlo", samples=config.samples, seed=config.seed)
 

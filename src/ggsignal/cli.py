@@ -32,8 +32,9 @@ from .disentangler import (DisentangleConfig, HyperplaneStack, run as run_disent
                            save_stack)
 from .embeddings import EmbeddingTable, atomic_open, load_table, save_table
 from .errors import DataError, NumericError, PipelineError
-from .evaluations import (GgWeatSpec, build_gg_targets, gg_weat, analogy_accuracy,
-                          pairwise_gap, principal_coordinates, sc_gg_sweep, valnorm)
+from .evaluations import (GG_MIN_TARGETS, GgWeatSpec, build_gg_targets, gg_weat,
+                          analogy_accuracy, pairwise_gap, principal_coordinates,
+                          sc_gg_sweep, valnorm)
 from .lexicon import (GenderLexicon, StimulusSet, balanced_sample, load_analogies,
                       load_gender_lexicon, load_similarity_pairs, load_stimuli,
                       load_valence_norms, require_sets)
@@ -180,14 +181,14 @@ def _add_table_args(parser: _Parser) -> None:
 def _add_perm_args(parser: _Parser) -> None:
     defaults = PermutationConfig()
     parser.add_argument("--p-samples", type=_at_least(1), default=defaults.samples,
-                        help="Monte Carlo sample count when enumeration is infeasible")
+                        help="Monte Carlo sample count beyond the exact limit")
     parser.add_argument("--exact-limit", type=_at_least(0), default=defaults.exact_limit,
-                        help="max partition count for exact enumeration")
+                        help="max partition count for exact counting")
     _add_set_args(parser)
 
 
 def _add_set_args(parser: _Parser) -> None:
-    parser.add_argument("--min-set-size", type=int, default=8,
+    parser.add_argument("--min-set-size", type=_at_least(1), default=8,
                         help="minimum usable words per set (default 8)")
     parser.add_argument("--on-missing", choices=("error", "drop"), default="error",
                         help="abort on unresolvable stimulus words (default) or drop them")
@@ -463,7 +464,7 @@ def build_parser() -> _Parser:
     p.add_argument("--attributes-b", required=True, help="semantically masculine set key")
     p.add_argument("--min-score", type=float, default=6.0,
                    help="similarity threshold for target pairs")
-    p.add_argument("--max-per-set", type=int, default=None)
+    p.add_argument("--max-per-set", type=_at_least(GG_MIN_TARGETS), default=None)
     _add_table_args(p)
     _add_perm_args(p)
     common(p)

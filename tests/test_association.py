@@ -7,16 +7,21 @@ implementation is checked against a fully independent route.
 """
 
 import math
+import tracemalloc
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ggsignal.association import (PermutationConfig, PValueMethod, _exact_index_matrix,
-                                  _monte_carlo_index_matrix, permutation_p, sc_effect_sizes,
-                                  sc_weat, weat)
+from ggsignal import association
+from ggsignal.association import (_CHUNK, PermutationConfig, PValueMethod, _index_dtype,
+                                  _monte_carlo_index_matrix, _subset_rows, permutation_p,
+                                  sc_effect_sizes, sc_weat, weat)
 from ggsignal.embeddings import EmbeddingTable
-from ggsignal.errors import (DataError, MissingWordsError, UndersizedSetError,
+from ggsignal.errors import (DataError, MissingWordsError, NumericError, UndersizedSetError,
                              ZeroVectorError)
 from ggsignal.lexicon import StimulusSet
 from ggsignal.seeding import rng_for
@@ -225,12 +230,111 @@ def test_permutation_p_empty_space_rejected():
             permutation_p(np.array(scores))
 
 
+@lru_cache(maxsize=4)
+def _all_partitions(n_items, group_size):
+    """Every `group_size`-subset of `n_items`, one per row in lexicographic order."""
+    return np.array(list(combinations(range(n_items), group_size)),
+                    dtype=np.uint8).reshape(math.comb(n_items, group_size), group_size)
+
+
+# Reference oracle: exact mode by enumeration, gathering and summing every
+# partition's sorted index row.
+def _enumerated_p(scores):
+    group = len(scores) // 2
+    rows = _all_partitions(len(scores), group)
+    observed = scores.take(np.arange(group)[None, :]).sum(axis=1)[0]
+    count = sum(int(np.sum(scores.take(rows[start:start + 65536]).sum(axis=1) > observed))
+                for start in range(0, len(rows), 65536))
+    return count / len(rows), PValueMethod("exact", partitions=len(rows))
+
+
+@st.composite
+def pooled_scores(draw):
+    """Pooled scores of every even size up to 20, drawn from a small pool of
+    values so that ties and duplicates are common, in one of several styles."""
+    n_items = draw(st.sampled_from(range(2, 21, 2)))
+    element = draw(st.sampled_from([
+        st.floats(-10, 10),
+        st.integers(-3, 3).map(float),                      # integer ties
+        st.integers(-20, 20).map(lambda i: i * 0.1),        # decimals: inexact ties
+        st.sampled_from([0.0, -0.0, 0.5, -0.5]),            # signed zeros
+        st.integers(-40, 40).map(lambda i: i * 5e-324),     # subnormals
+        st.floats(-1, 1).map(lambda x: x * 1e300),
+        st.floats(-1, 1).map(lambda x: x * 1e306),          # the bound overflows
+        st.floats(-1, 1).map(lambda x: x * 1e308),          # and the sums too
+    ]))
+    pool = draw(st.lists(element, min_size=1, max_size=n_items))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_items,
+                          max_size=n_items))
+    return np.array([pool[i] for i in picks])
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=pooled_scores())
+# Subset sums that overflow: the half sum of items 0-2 is -inf, while the
+# pairwise sum that the rule takes over some of its partitions is finite.
+@example(scores=np.array([-.75, -.75, -1, 1, 1, .6, 0, 0, 1, .85, .85, 0, 0, 0, 0, 0]) * 1e308)
+def test_exact_counting_matches_enumeration(scores):
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert permutation_p(scores) == _enumerated_p(scores)
+
+
+def test_all_tied_scores_are_summed_a_chunk_at_a_time():
+    # Every partition ties the identity within the rounding bound, so each of
+    # the C(20, 10) is summed by the rule; all at once would take 14.8 MB.
+    scores = np.full(20, 0.1)
+    expected = _enumerated_p(scores)
+    permutation_p(scores)  # builds the subset tables
+    tracemalloc.start()
+    try:
+        result = permutation_p(scores)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == expected
+    assert peak < 1.5 * _CHUNK * 10 * np.dtype(np.float64).itemsize
+
+
+@pytest.mark.parametrize("chunk", [3, 1000])
+def test_undecided_pairs_split_across_chunks(monkeypatch, chunk):
+    # Small chunks split the undecided pairs of one size, and one left
+    # subset's run of them, across chunks.
+    monkeypatch.setattr(association, "_CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for n_items in (8, 12, 16):
+        for scores in (rng.integers(-3, 4, n_items) * 0.1, np.full(n_items, 0.3),
+                       rng.choice([0.1, 0.2, 0.3], n_items)):
+            assert permutation_p(scores) == _enumerated_p(scores)
+
+
+@pytest.mark.parametrize("n_items, size", [(20, 0), (20, 4), (20, 10), (2, 1), (300, 2)])
+def test_subset_tables_are_compact_and_read_only(n_items, size):
+    half = n_items // 2
+    for first in (0, half):
+        rows = _subset_rows(n_items, first, size)
+        assert rows.dtype == _index_dtype(n_items)
+        assert rows.shape == (math.comb(half, size), size)
+        assert not rows.flags.writeable
+        assert _subset_rows(n_items, first, size) is rows
+        assert rows.tolist() == [list(c) for c in combinations(range(first, first + half), size)]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_permutation_p_rejects_non_finite_scores(bad):
+    with pytest.raises(NumericError, match="1 of 4 pooled scores are not finite"):
+        permutation_p(np.array([bad, 1.0, 2.0, 3.0]))
+    scores = np.random.default_rng(0).normal(size=24)
+    scores[[3, 17]] = bad
+    with pytest.raises(NumericError, match="2 of 24 pooled scores are not finite"):
+        permutation_p(scores, PermutationConfig(exact_limit=0, samples=100))
+
+
 # Reference oracle: the earlier callback form of `permutation_p`, kept here
 # only to check the pooled-score form against it.
 def _callback_permutation_p(statistic_fn, observed, n_items, group_size, config):
     total = math.comb(n_items, group_size)
     if total <= config.exact_limit:
-        idx = _exact_index_matrix(n_items, group_size)
+        idx = _all_partitions(n_items, group_size)
         count = 0
         for start in range(0, total, 65536):
             stats = statistic_fn(idx[start:start + 65536])
@@ -309,15 +413,6 @@ def test_cached_monte_carlo_matrix_is_compact_and_read_only(n_items, dtype):
     assert _monte_carlo_index_matrix(n_items, samples, 11) is matrix
     # Every row is a set of distinct items.
     assert (np.sort(matrix, axis=1)[:, 1:] != np.sort(matrix, axis=1)[:, :-1]).all()
-
-
-def test_cached_exact_matrix_is_compact_and_read_only():
-    matrix = _exact_index_matrix(20, 10)
-    assert matrix.dtype == np.uint8
-    assert matrix.shape == (math.comb(20, 10), 10)
-    assert not matrix.flags.writeable
-    assert matrix[0].tolist() == list(range(10))
-    assert matrix[-1].tolist() == list(range(10, 20))
 
 
 def test_permutation_p_ties_never_count():

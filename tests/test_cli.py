@@ -566,6 +566,28 @@ def test_permutation_flags_are_usage_errors_where_unread(files, tmp_path, comman
     assert main([*COMMANDS[command](files, tmp_path), flag, "1000"]) == 1
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("weat", "--min-set-size", "-4"), ("sc-weat", "--min-set-size", "0"),
+    ("valnorm", "--min-set-size", "0"), ("sweep", "--min-set-size", "-1"),
+    ("gg-weat", "--min-set-size", "0"), ("gg-weat", "--max-per-set", "0"),
+    ("gg-weat", "--max-per-set", "-2"), ("gg-weat", "--max-per-set", "7")])
+def test_set_size_values_below_their_floor_are_usage_errors_naming_the_flag(
+        files, tmp_path, capsys, command, flag, value):
+    report = tmp_path / "r.json"
+    assert main([*COMMANDS[command](files, tmp_path), flag, value,
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and flag in err
+    assert not report.exists()
+
+
+def test_smallest_set_size_values_run(files, tmp_path):
+    report = tmp_path / "r.json"
+    assert main([*COMMANDS["gg-weat"](files, tmp_path), "--max-per-set", "8",
+                 "--min-set-size", "1", "--report", str(report)]) == 0
+    assert len(read(report)["results"]["feminine_targets"]) == 8
+
+
 @pytest.mark.parametrize("command", ["sweep", "pca-coords"])
 def test_non_positive_per_gender_is_a_usage_error(files, tmp_path, command):
     assert main([*COMMANDS[command](files, tmp_path), "--per-gender", "0"]) == 1
