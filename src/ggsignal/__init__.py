@@ -3,6 +3,8 @@ measurement for word embeddings."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .association import (AssociationResult, PermutationConfig, PValueMethod,
                           permutation_p, sc_weat, weat)
 from .classifier import LinearModel, TrainConfig, accuracy, decision_direction, train
@@ -20,4 +22,7 @@ from .lexicon import (AnalogyQuestion, GenderLexicon, SimilarityPair, StimulusSe
                       load_valence_norms)
 from .synthetic import SynthConfig, generate
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing a name from a submodule also binds the submodule; only the
+# imported names are exported.
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -16,14 +16,21 @@ Conventions pinned here and relied on by every caller:
   beyond that a seeded Monte Carlo estimate with
   ``p = (count + 1) / (samples + 1)`` is used and recorded as such.
 
-All functions are pure over immutable inputs. Exact mode decides every
-partition by meet-in-the-middle subset-sum counting, certified by a rounding
-bound, so the count equals what gathering and summing each partition's
-sorted index row would give (see `_exact_count`). Monte Carlo mode counts
-over one read-only index matrix of the draws of the seeded stream
-``rng_for(seed, "permutation")``, built once per process and cached, so calls
-with the same seed and sizes count over the same partitions. Results depend
-on neither thread counts nor call order.
+All functions are pure over immutable inputs. Both modes decide each
+partition as gathering and summing its index row would, and differ only in
+the partitions they count:
+
+* exact mode counts every partition, by meet-in-the-middle subset sums
+  (`_exact_count`);
+* Monte Carlo mode counts the draws of the seeded stream
+  ``rng_for(seed, "permutation")``, cached once per process as one byte of
+  membership bits per 8 items (`_monte_carlo_masks`), so calls with the same
+  seed and sizes count over the same partitions. Each sample's sum is looked
+  up from per-byte subset-sum tables (`_monte_carlo_count`).
+
+In both, a rounding bound (`_rounding_delta`) certifies the fast sums, and
+only the rare partitions it leaves undecided are gathered and summed.
+Results depend on neither thread counts nor call order.
 """
 
 from __future__ import annotations
@@ -147,6 +154,27 @@ def _subset_rows(n_items: int, first: int, size: int) -> np.ndarray:
     return rows
 
 
+def _rounding_delta(scores: np.ndarray) -> float:
+    """A margin that decides a first-set sum against `observed` as the rule
+    does: when a float sum of the same `n // 2` scores, in any order, lies
+    above `observed + delta` the rule's sum is strictly greater than
+    `observed`, and when it lies below `observed - delta` it is not.
+
+    Any order of summing m terms is within gamma_{m-1} * S of their real sum
+    (gamma_m = m*u / (1 - m*u), u = eps / 2, S = sum(|scores|)), so two orders
+    differ by under 2 * gamma_{n/2} * S, about n*u*S. Rounding the sums and
+    bounds that the callers form adds at most u * (4S + delta). That is under
+    (n + 6)*u*S in all, against delta = 8*(n + 1)*u*S. Additions with a
+    subnormal result are exact, and forming `delta` loses at most 2**-1075 to
+    underflow: a small part of it unless S is subnormal, and then every sum is
+    exact. When the bound overflows `delta` is infinite, and callers decide
+    every partition by the rule.
+    """
+    with np.errstate(over="ignore"):
+        bound = 4 * (len(scores) + 1) * np.abs(scores).sum()
+    return bound * np.finfo(np.float64).eps
+
+
 def _exact_count(scores: np.ndarray, observed: float) -> int:
     """How many equal-size partitions have a first-set sum, taken as
     `scores[rows].sum(axis=1)` over their sorted index rows, strictly greater
@@ -156,24 +184,13 @@ def _exact_count(scores: np.ndarray, observed: float) -> int:
     first set into `size` items of the first half and the rest from the
     second, every left subset sum `a` meets the sorted right subset sums `b`.
     Pairs with `b` above `observed - a + delta` count, pairs below
-    `observed - a - delta` do not, and only the undecided ones in between are
-    rebuilt as index rows and summed by the rule, `_CHUNK` rows at a time.
-
-    Why `delta` decides: any order of summing m terms is within
-    gamma_{m-1} * S of their real sum (gamma_m = m*u / (1 - m*u), u = eps / 2,
-    S = sum(|scores|)), so `a + b` and the rule's sum differ by under
-    2 * gamma_group * S, about n*u*S. Rounding `observed - a +- delta` adds at
-    most u * (4S + delta). That is under (n + 6)*u*S in all, against
-    delta = 8*(n + 1)*u*S. Additions with a subnormal result are exact, and
-    forming `delta` loses at most 2**-1075 to underflow: a small part of it
-    unless S is subnormal, and then every sum is exact. When `bound`
-    overflows, every pair is summed by the rule.
+    `observed - a - delta` do not (`_rounding_delta`), and only the undecided
+    ones in between are rebuilt as index rows and summed by the rule,
+    `_CHUNK` rows at a time.
     """
     n_items = len(scores)
     group = n_items // 2
-    with np.errstate(over="ignore"):
-        bound = 4 * (n_items + 1) * np.abs(scores).sum()
-    delta = bound * np.finfo(np.float64).eps
+    delta = _rounding_delta(scores)
     count = 0
     for size in range(group + 1):
         left = _subset_rows(n_items, 0, size)
@@ -182,7 +199,7 @@ def _exact_count(scores: np.ndarray, observed: float) -> int:
         b = scores.take(right).sum(axis=1)
         order = np.argsort(b, kind="stable")
         b = b[order]
-        if np.isfinite(bound):
+        if np.isfinite(delta):
             lo = np.searchsorted(b, observed - a - delta, "left")
             hi = np.searchsorted(b, observed - a + delta, "right")
         else:
@@ -218,18 +235,88 @@ def _monte_carlo_index_matrix(n_items: int, samples: int, seed: int) -> np.ndarr
     return matrix
 
 
+@lru_cache(maxsize=4)
+def _monte_carlo_masks(n_items: int, samples: int, seed: int
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """The first halves of `_monte_carlo_index_matrix(n_items, samples, seed)`
+    as membership bits, and the samples whose bits may differ from that row.
+
+    The same keys are redrawn in the same batches. Item i is bit i % 8 of
+    byte i // 8, and byte j of every sample is row j of the mask array, so
+    each byte's samples lie contiguous. A sample's bits mark the keys up to
+    its `n_items // 2`-th smallest; when tied keys mark more than that, the
+    index row is one arbitrary choice among them, and the sample is listed.
+    """
+    group = n_items // 2
+    masks = np.empty((-(-n_items // 8), samples), dtype=np.uint8)
+    tied = []
+    rng = rng_for(seed, "permutation")
+    for start in range(0, samples, 4096):
+        keys = rng.random((min(4096, samples - start), n_items))
+        member = keys <= np.partition(keys, group - 1, axis=1)[:, group - 1:group]
+        masks[:, start:start + len(keys)] = np.packbits(member, axis=1, bitorder="little").T
+        tied.append(start + np.flatnonzero(np.count_nonzero(member, axis=1) != group))
+    tied = np.concatenate(tied)
+    masks.setflags(write=False)
+    tied.setflags(write=False)
+    return masks, tied
+
+
+def _monte_carlo_count(scores: np.ndarray, observed: float, samples: int, seed: int) -> int:
+    """How many of the seeded samples have a first-set sum, taken as
+    `scores[row].sum()` over their `_monte_carlo_index_matrix` row, strictly
+    greater than `observed`: what summing every sample counts.
+
+    Each sample's sum is looked up from its membership bytes
+    (`_monte_carlo_masks`): byte j's 256 subset sums of items 8j to 8j + 7
+    are built by doubling, one new item at a time. Samples above
+    `observed + delta` count and samples below `observed - delta` do not
+    (`_rounding_delta`); undecided and tied samples are gathered from the
+    index matrix, built only then, and summed by the rule, `_CHUNK` rows at a
+    time.
+    """
+    n_items = len(scores)
+    masks, tied = _monte_carlo_masks(n_items, samples, seed)
+    delta = _rounding_delta(scores)
+    if np.isfinite(delta):
+        items = np.zeros(8 * len(masks))
+        items[:n_items] = scores
+        tables = np.zeros((len(masks), 1))
+        for item in items.reshape(len(masks), 8).T:
+            tables = np.hstack([tables, tables + item[:, None]])
+        sums = tables[0].take(masks[0])
+        for table, mask in zip(tables[1:], masks[1:]):
+            sums += table.take(mask)
+        above = sums > observed + delta
+        undecided = ~above & (sums >= observed - delta)
+        above[tied] = False
+        undecided[tied] = True
+        count = int(np.count_nonzero(above))
+        rows = np.flatnonzero(undecided)
+    else:
+        count, rows = 0, np.arange(samples)
+    if len(rows):
+        idx = _monte_carlo_index_matrix(n_items, samples, seed)
+        for start in range(0, len(rows), _CHUNK):
+            gathered = scores[idx.take(rows[start:start + _CHUNK], axis=0)]
+            count += int(np.count_nonzero(gathered.sum(axis=1) > observed))
+    return count
+
+
 def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationConfig()
                   ) -> tuple[float, PValueMethod]:
     """One-sided p-value over equal-size two-set partitions of pooled scores.
 
     `scores` holds one finite score per item, the observed first set's in its
     first half. A partition counts when its first-set sum, gathered and summed
-    over its sorted index row, is strictly greater than the identity
-    partition's, which is summed the same way so that it never counts itself.
-    When the partition count is at most `config.exact_limit`, every partition
-    is decided by meet-in-the-middle counting (`_exact_count`), exactly as
-    summing each one would decide it; otherwise a seeded Monte Carlo estimate
-    counts over a cached index matrix (`_monte_carlo_index_matrix`).
+    over its index row, is strictly greater than the identity partition's,
+    which is summed the same way so that it never counts itself. When the
+    partition count is at most `config.exact_limit`, every partition is
+    counted (`_exact_count`); otherwise `config.samples` seeded random
+    partitions are (`_monte_carlo_count`), and p = (count + 1) / (samples + 1).
+    Either count equals what gathering and summing each partition's row gives,
+    while only the partitions within a rounding bound of the identity's sum
+    are summed that way.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or len(scores) < 2 or len(scores) % 2:
@@ -245,10 +332,7 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
     total = comb(n_items, group)
     if total <= config.exact_limit:
         return _exact_count(scores, observed) / total, PValueMethod("exact", partitions=total)
-    idx = _monte_carlo_index_matrix(n_items, config.samples, config.seed)
-    count = 0
-    for start in range(0, len(idx), _CHUNK):
-        count += int(np.sum(scores.take(idx[start:start + _CHUNK]).sum(axis=1) > observed))
+    count = _monte_carlo_count(scores, observed, config.samples, config.seed)
     p = (count + 1) / (config.samples + 1)
     return p, PValueMethod("monte-carlo", samples=config.samples, seed=config.seed)
 

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from ggsignal import association
 from ggsignal.association import (_CHUNK, PermutationConfig, PValueMethod, _index_dtype,
-                                  _monte_carlo_index_matrix, _subset_rows, permutation_p,
-                                  sc_effect_sizes, sc_weat, weat)
+                                  _monte_carlo_index_matrix, _monte_carlo_masks, _subset_rows,
+                                  permutation_p, sc_effect_sizes, sc_weat, weat)
 from ggsignal.embeddings import EmbeddingTable
 from ggsignal.errors import (DataError, MissingWordsError, NumericError, UndersizedSetError,
                              ZeroVectorError)
@@ -249,10 +249,11 @@ def _enumerated_p(scores):
 
 
 @st.composite
-def pooled_scores(draw):
-    """Pooled scores of every even size up to 20, drawn from a small pool of
-    values so that ties and duplicates are common, in one of several styles."""
-    n_items = draw(st.sampled_from(range(2, 21, 2)))
+def pooled_scores(draw, max_items=20):
+    """Pooled scores of every even size up to `max_items`, drawn from a small
+    pool of values so that ties and duplicates are common, in one of several
+    styles."""
+    n_items = draw(st.sampled_from(range(2, max_items + 1, 2)))
     element = draw(st.sampled_from([
         st.floats(-10, 10),
         st.integers(-3, 3).map(float),                      # integer ties
@@ -305,6 +306,12 @@ def test_undecided_pairs_split_across_chunks(monkeypatch, chunk):
         for scores in (rng.integers(-3, 4, n_items) * 0.1, np.full(n_items, 0.3),
                        rng.choice([0.1, 0.2, 0.3], n_items)):
             assert permutation_p(scores) == _enumerated_p(scores)
+    # So do the undecided samples of Monte Carlo mode.
+    for n_items in (10, 24, 70):
+        for scores in (rng.integers(-3, 4, n_items) * 0.1, np.full(n_items, 0.3),
+                       rng.normal(size=n_items)):
+            config = PermutationConfig(exact_limit=0, samples=500, seed=n_items)
+            assert permutation_p(scores, config) == _summed_p(scores, config)
 
 
 @pytest.mark.parametrize("n_items, size", [(20, 0), (20, 4), (20, 10), (2, 1), (300, 2)])
@@ -352,6 +359,17 @@ def _callback_permutation_p(statistic_fn, observed, n_items, group_size, config)
         remaining -= batch
     p = (count + 1) / (config.samples + 1)
     return p, PValueMethod("monte-carlo", samples=config.samples, seed=config.seed)
+
+
+def _summed_p(scores, config):
+    """`_callback_permutation_p` over the first-set sum: in Monte Carlo mode
+    it gathers and sums every sample, redrawing the seeded stream each call."""
+    group = len(scores) // 2
+
+    def first_sum(idx):
+        return scores[idx].sum(axis=1)
+    observed = first_sum(np.arange(group)[None, :])[0]
+    return _callback_permutation_p(first_sum, observed, len(scores), group, config)
 
 
 def _weat_statistic(pooled):
@@ -413,6 +431,124 @@ def test_cached_monte_carlo_matrix_is_compact_and_read_only(n_items, dtype):
     assert _monte_carlo_index_matrix(n_items, samples, 11) is matrix
     # Every row is a set of distinct items.
     assert (np.sort(matrix, axis=1)[:, 1:] != np.sort(matrix, axis=1)[:, :-1]).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(scores=pooled_scores(max_items=70), samples=st.integers(1, 5_000),
+       seed=st.integers(0, 1_000))
+# All equal: every sample ties the identity within the bound and is summed.
+@example(scores=np.full(24, 0.1), samples=5_000, seed=0)
+# Pairs of duplicate scores, within a half and across the halves.
+@example(scores=np.repeat([0.3, -1.2, 0.7, 2.5, 0.1, -0.4], 2), samples=3_000, seed=1)
+@example(scores=np.tile([0.3, -1.2, 0.7, 2.5, 0.1, -0.4, 0.9], 2), samples=3_000, seed=2)
+# The bound overflows, so every sample is summed.
+@example(scores=np.linspace(-1, 1, 70) * 1e306, samples=2_000, seed=3)
+def test_monte_carlo_counting_matches_summing_every_sample(scores, samples, seed):
+    config = PermutationConfig(exact_limit=0, samples=samples, seed=seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert permutation_p(scores, config) == _summed_p(scores, config)
+
+
+def test_monte_carlo_counting_at_every_size():
+    # Sizes that are not a multiple of 8 leave part of the last byte unused.
+    rng = np.random.default_rng(26)
+    for n_items in range(2, 71, 2):
+        for scores in (rng.normal(size=n_items), rng.integers(-3, 4, n_items) * 0.1):
+            config = PermutationConfig(exact_limit=0, samples=1_000, seed=n_items)
+            assert permutation_p(scores, config) == _summed_p(scores, config)
+
+
+# Frozen from the earlier Monte Carlo loop, which gathered and summed every
+# sample's index row; `count` is the number of samples above the identity.
+@pytest.mark.parametrize("n_items, style, samples, seed, count", [
+    (22, "normal", 100_000, 1, 75563),
+    (24, "normal", 100_000, 2, 14940),
+    (40, "normal", 100_000, 3, 66653),
+    (64, "decimals", 100_000, 4, 60150),
+    (70, "normal", 100_000, 5, 75352),
+    (300, "normal", 5_000, 6, 1388),
+])
+def test_monte_carlo_p_values_are_pinned(n_items, style, samples, seed, count):
+    rng = np.random.default_rng([n_items, 26])
+    scores = rng.normal(size=n_items) if style == "normal" else rng.integers(-3, 4, n_items) * 0.1
+    config = PermutationConfig(exact_limit=0, samples=samples, seed=seed)
+    assert permutation_p(scores, config) == (
+        (count + 1) / (samples + 1), PValueMethod("monte-carlo", samples=samples, seed=seed))
+
+
+@pytest.mark.parametrize("seed, samples, count", [(0, 100_000, 2021), (5, 100_000, 1907),
+                                                  (9, 20_000, 413)])
+def test_fixture_weat_monte_carlo_p_values_are_pinned(fixture_table, fixture_stimuli, seed,
+                                                      samples, count):
+    x, y = fixture_stimuli["fixture.targets.x"], fixture_stimuli["fixture.targets.y"]
+    a, b = fixture_stimuli["fixture.attributes.a"], fixture_stimuli["fixture.attributes.b"]
+    result = weat(x, y, a, b, fixture_table,
+                  PermutationConfig(exact_limit=100, samples=samples, seed=seed))
+    assert result.p_value == (count + 1) / (samples + 1)
+
+
+@pytest.mark.parametrize("n_items, samples, seed", [(2, 7, 0), (22, 5_000, 1), (24, 4_097, 2),
+                                                    (70, 3_000, 3), (300, 500, 4)])
+def test_monte_carlo_masks_mark_the_index_rows(n_items, samples, seed):
+    masks, tied = _monte_carlo_masks(n_items, samples, seed)
+    assert masks.dtype == np.uint8
+    assert masks.shape == (-(-n_items // 8), samples)
+    assert not masks.flags.writeable and not tied.flags.writeable
+    assert _monte_carlo_masks(n_items, samples, seed)[0] is masks
+    member = np.zeros((samples, n_items), dtype=bool)
+    rows = _monte_carlo_index_matrix(n_items, samples, seed).astype(np.intp)
+    np.put_along_axis(member, rows, True, axis=1)
+    assert len(tied) == 0
+    assert (np.packbits(member, axis=1, bitorder="little").T == masks).all()
+
+
+def test_decided_samples_build_no_index_matrix():
+    _monte_carlo_index_matrix.cache_clear()
+    config = PermutationConfig(exact_limit=0, samples=20_000, seed=13)
+    scores = np.random.default_rng(5).normal(size=26)
+    assert permutation_p(scores, config) == _summed_p(scores, config)
+    assert _monte_carlo_index_matrix.cache_info().misses == 0
+    # All-equal scores leave every sample undecided.
+    scores = np.full(26, 0.1)
+    assert permutation_p(scores, config) == _summed_p(scores, config)
+    assert _monte_carlo_index_matrix.cache_info().misses == 1
+
+
+class _QuarterKeys:
+    """Uniform keys rounded down to quarters, so that a row's keys often tie."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, shape):
+        return np.floor(self.rng.random(shape) * 4) / 4
+
+
+def test_tied_keys_are_summed_over_their_index_rows(monkeypatch):
+    monkeypatch.setattr(association, "rng_for",
+                        lambda seed, name: _QuarterKeys(rng_for(seed, name)))
+    n_items, samples = 12, 3_000
+    _monte_carlo_masks.cache_clear()
+    _monte_carlo_index_matrix.cache_clear()
+    try:
+        masks, tied = _monte_carlo_masks(n_items, samples, 0)
+        rows = _monte_carlo_index_matrix(n_items, samples, 0)
+        assert 0 < len(tied) < samples
+        member = np.zeros((samples, n_items), dtype=bool)
+        np.put_along_axis(member, rows.astype(np.intp), True, axis=1)
+        bits = np.packbits(member, axis=1, bitorder="little").T
+        untied = np.setdiff1d(np.arange(samples), tied)
+        assert (bits[:, untied] == masks[:, untied]).all()
+        assert (bits[:, tied] != masks[:, tied]).any(axis=0).all()
+        rng = np.random.default_rng(12)
+        for scores in (rng.normal(size=n_items), rng.integers(-3, 4, n_items) * 0.1):
+            observed = scores[np.arange(n_items // 2)[None, :]].sum(axis=1)[0]
+            count = int(np.count_nonzero(scores[rows].sum(axis=1) > observed))
+            config = PermutationConfig(exact_limit=0, samples=samples)
+            assert permutation_p(scores, config)[0] == (count + 1) / (samples + 1)
+    finally:
+        _monte_carlo_masks.cache_clear()
+        _monte_carlo_index_matrix.cache_clear()
 
 
 def test_permutation_p_ties_never_count():
