@@ -243,7 +243,6 @@ def _cmd_disentangle(args) -> dict:
         "final_accuracy": stack.final_accuracy,
         "per_class": args.per_class,
         "model_weight_norms": list(stack.model_weight_norms),
-        "consecutive_direction_cosines": list(stack.consecutive_cosines),
         "annihilated_words": transformed.zero_norm_words(),
         "lexicon_words": {"feminine": len(lexicon.feminine),
                           "masculine": len(lexicon.masculine)},

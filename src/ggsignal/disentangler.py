@@ -1,24 +1,22 @@
 """Iterative removal of the grammatical-gender hyperplane.
 
 Each round samples balanced gendered nouns, trains the linear classifier on
-the current vectors, and, while held-out accuracy stays above the stop
-threshold, projects the unit decision direction out of EVERY vector in the
-table. Accuracy recorded for round k is measured on embeddings already
-projected k times, so the recorded trace lines up with an
-accuracy-per-round curve starting at the raw table.
+their current vectors, and, while held-out accuracy stays above the stop
+threshold, removes the unit decision direction. Accuracy recorded for round k
+is measured on vectors already projected k times, so the recorded trace lines
+up with an accuracy-per-round curve starting at the raw table.
 
-`run` and `apply_stack` share one kernel, `_project`: it projects one working
-copy of the table in place, block by block, so its only temporary is one block.
-
-Successive directions are not re-orthogonalized. A round's weights are a sum
-of sample rows already projected off every earlier direction, but each
-projection leaves a rounding residue along the earlier directions that
-follows the classes, and later classifiers amplify it, by about 50x a round
-on 20-d synthetic oracles: max |D D^T - I| stayed below 1e-13 over the 3 to 4
-rounds of 300-d, 1000-per-class oracles, and reached 6e-5 after 8 rounds of
-20-d, 300-per-class ones. The cosine between consecutive directions is
-recorded and a warning logged when its magnitude exceeds 0.1, rather than
-forcing orthogonality.
+The classifier reads lexicon rows only, so `run` gathers the usable lexicon
+rows once and projects only those, round by round. Each new direction is
+re-orthogonalized against the stack before it is projected out: a round's
+weights are a sum of rows already projected off every earlier direction, but
+the projections leave a rounding residue along those directions that follows
+the classes, and later classifiers amplify it, by about 50x a round on 20-d
+synthetic oracles. A stack is therefore orthonormal up to rounding, and
+replaying it is one projection onto the intersection of the hyperplanes, as
+in INLP (Ravfogel et al., ACL 2020). Every "after" table comes from
+`apply_stack`, `run`'s included; its kernel, `_project`, projects one copy
+of the table in place, block by block, so its only temporary is one block.
 """
 
 from __future__ import annotations
@@ -36,11 +34,12 @@ from .lexicon import GenderLexicon, balanced_sample
 
 log = logging.getLogger(__name__)
 
-CONSECUTIVE_COSINE_WARN = 0.1
-
-# Rows projected per block. A multiple of 4, because the BLAS matrix-vector
-# kernel handles rows in groups of 4: block edges that split a group change
-# the rounding of the per-row products, and with it the results' last bits.
+# Rows projected per block, which bounds the one temporary to a block. The
+# products are `np.einsum` loops, not BLAS calls: they sum each row's terms in
+# one fixed order, so block edges and BLAS thread counts move no bit. The
+# BLAS rank-k product moved last bits with both, even at block edges that are
+# multiples of 4, and the per-direction BLAS matrix-vector product with edges
+# that split its groups of 4 rows.
 _PROJECT_ROWS = 4096
 
 
@@ -71,21 +70,22 @@ class DisentangleConfig:
 
 @dataclass(frozen=True)
 class HyperplaneStack:
-    """Ordered unit directions, one per completed projection round.
+    """Ordered orthonormal directions, one per completed projection round.
 
-    `per_iteration_accuracy[k]` is the held-out accuracy that triggered the
-    extraction of `directions[k]`. `final_accuracy` is the last measured
-    accuracy, the one at or below the stop threshold (or at the round cap);
-    it has no paired direction. `model_weight_norms` holds the un-normalized
-    weight norm of each round's classifier for audit (the weights themselves
-    are not kept). Stacks loaded from the text format carry directions only,
-    so the accuracy fields are None there.
+    The directions must be orthonormal within 1e-9 (max |D D^T - I|), so
+    that replaying the stack is a projection. `per_iteration_accuracy[k]` is
+    the held-out accuracy that triggered the extraction of `directions[k]`.
+    `final_accuracy` is the last measured accuracy, the one at or below the
+    stop threshold (or at the round cap); it has no paired direction.
+    `model_weight_norms` holds the un-normalized weight norm of each round's
+    classifier for audit (the weights themselves are not kept). Stacks loaded
+    from the text format carry directions only, so the accuracy fields are
+    None there.
     """
 
     directions: np.ndarray
     per_iteration_accuracy: tuple[float, ...] | None = None
     final_accuracy: float | None = None
-    consecutive_cosines: tuple[float, ...] = ()
     model_weight_norms: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -94,10 +94,15 @@ class HyperplaneStack:
             raise ValueError("directions must be a (count, dimension) array")
         if not np.all(np.isfinite(directions)):
             raise ValueError("stack directions must be finite")
-        if directions.shape[0]:
-            norms = np.linalg.norm(directions, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("stack directions must be unit-norm within 1e-9")
+        gram = directions @ directions.T
+        error = np.abs(gram - np.eye(len(gram)))
+        if error.size:
+            i, j = np.unravel_index(np.argmax(error), error.shape)
+            if not error[i, j] <= 1e-9:
+                worst = (f"row {i} has squared norm" if i == j
+                         else f"rows {i} and {j} have dot product")
+                raise ValueError(f"stack directions must be orthonormal within 1e-9: "
+                                 f"{worst} {gram[i, j]:.17g}")
         directions.setflags(write=False)
         object.__setattr__(self, "directions", directions)
         if self.per_iteration_accuracy is not None:
@@ -120,12 +125,12 @@ class HyperplaneStack:
 
 
 def _project(matrix: np.ndarray, directions: np.ndarray) -> None:
-    """Remove each unit direction in turn from every row of `matrix`, in
-    place, `_PROJECT_ROWS` rows at a time."""
+    """Remove the span of the orthonormal `directions` from every row of
+    `matrix`, in place, `_PROJECT_ROWS` rows at a time: one rank-k step,
+    block -= (block D^T) D, per block."""
     for start in range(0, matrix.shape[0], _PROJECT_ROWS):
         block = matrix[start:start + _PROJECT_ROWS]
-        for direction in directions:
-            block -= np.outer(block @ direction, direction)
+        block -= np.einsum("ik,kj->ij", np.einsum("ij,kj->ik", block, directions), directions)
 
 
 def run(table: EmbeddingTable, lexicon: GenderLexicon,
@@ -133,9 +138,12 @@ def run(table: EmbeddingTable, lexicon: GenderLexicon,
     """Disentangle until held-out accuracy reaches the stop threshold.
 
     Lexicon words absent from the table are reported and excluded before
-    sampling. Returns the transformed table and the stack of extracted
-    directions with their accuracy trace. Words whose vectors end up
-    all-zero are retained in the table but flagged in the log.
+    sampling. The usable lexicon rows are gathered once; each round trains on
+    a balanced sample of them and projects the new direction, made
+    orthonormal to the stack by two Gram-Schmidt passes, out of them only.
+    Returns `apply_stack(table, stack)` and the stack of extracted directions
+    with its accuracy trace. Words whose vectors end up all-zero are retained
+    in the table but flagged in the log.
     """
     missing = [w for w in lexicon.words if w not in table]
     if missing:
@@ -143,61 +151,53 @@ def run(table: EmbeddingTable, lexicon: GenderLexicon,
                     len(missing), ", ".join(missing[:10]),
                     "..." if len(missing) > 10 else "")
     usable = lexicon.restricted_to(w for w in lexicon.words if w in table)
-
-    work = np.array(table.matrix, dtype=np.float64, copy=True)
-    directions: list[np.ndarray] = []
+    position = {w: i for i, w in enumerate(usable.words)}
+    rows = table.rows(usable.words)
+    directions = np.zeros((0, table.dimension))
     accuracies: list[float] = []
-    neighbor_cosines: list[float] = []
     weight_norms: list[float] = []
 
     round_index = 0
     while True:
         feminine, masculine = balanced_sample(usable, config.per_class,
                                               config.seed + round_index)
-        fem_rows = work[[table.index_of(w) for w in feminine]]
-        masc_rows = work[[table.index_of(w) for w in masculine]]
         round_config = replace(config.classifier, seed=config.classifier.seed + round_index)
-        model = train(fem_rows, masc_rows, round_config)
+        model = train(rows[[position[w] for w in feminine]],
+                      rows[[position[w] for w in masculine]], round_config)
         acc = model.holdout_accuracy
         log.info("round %d: holdout accuracy %.4f", round_index, acc)
         if acc <= config.stop_accuracy or round_index >= config.max_iterations:
             final_accuracy = acc
             break
         direction = decision_direction(model)
-        if directions:
-            neighbor = float(direction @ directions[-1])
-            neighbor_cosines.append(neighbor)
-            if abs(neighbor) > CONSECUTIVE_COSINE_WARN:
-                log.warning("round %d: |cos| to previous direction is %.3f (> %.2f)",
-                            round_index, abs(neighbor), CONSECUTIVE_COSINE_WARN)
-        _project(work, direction[None, :])
-        directions.append(direction)
+        for _ in range(2):
+            direction = direction - (directions @ direction) @ directions
+        direction /= np.linalg.norm(direction)
+        _project(rows, direction[None, :])
+        directions = np.vstack([directions, direction])
         accuracies.append(acc)
         weight_norms.append(float(np.linalg.norm(model.weights)))
         round_index += 1
+    del rows, model
 
-    result = table.with_matrix(work)
+    stack = HyperplaneStack(directions=directions, per_iteration_accuracy=tuple(accuracies),
+                            final_accuracy=final_accuracy,
+                            model_weight_norms=tuple(weight_norms))
+    result = apply_stack(table, stack)
     annihilated = result.zero_norm_words()
     if annihilated:
         log.warning("%d words annihilated to zero vectors (retained, excluded from "
                     "cosine-based tests): %s", len(annihilated), ", ".join(annihilated[:10]))
-    stack = HyperplaneStack(
-        directions=np.vstack(directions) if directions else np.zeros((0, table.dimension)),
-        per_iteration_accuracy=tuple(accuracies),
-        final_accuracy=final_accuracy,
-        consecutive_cosines=tuple(neighbor_cosines),
-        model_weight_norms=tuple(weight_norms),
-    )
     return result, stack
 
 
 def apply_stack(table: EmbeddingTable, stack: HyperplaneStack) -> EmbeddingTable:
-    """Replay the stacked projections, in order, onto another table.
+    """Project `table` off every direction of `stack`: the one producer of a
+    disentangled table.
 
-    The empty stack is the identity. Applying an orthonormal stack twice
-    equals applying it once: the vectors are already orthogonal to every
-    direction. The table is copied once and projected in place, block by
-    block, by `run`'s kernel.
+    The empty stack is the identity. The stack is orthonormal, so this is a
+    projection: applying it twice equals applying it once up to rounding. The
+    table is copied once and projected in place, block by block.
     """
     if len(stack) == 0:
         return table

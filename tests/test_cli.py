@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ggsignal
 from ggsignal.cli import _default_stimuli_path, main
 from ggsignal.disentangler import load_stack
 from ggsignal.embeddings import EmbeddingTable, load_table, save_table
@@ -92,6 +96,34 @@ def test_disentangle_zero_iterations_round_trips_table(env, tmp_path):
     resaved = tmp_path / "resaved.vec"
     save_table(original, resaved)
     assert out.read_bytes() == resaved.read_bytes()
+
+
+def test_disentangle_does_not_depend_on_the_blas_thread_count(tmp_path):
+    package_root = str(Path(ggsignal.__file__).parents[1])
+
+    def cli(argv, threads):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-m", "ggsignal.cli", *argv], env=env, check=True,
+                       capture_output=True)
+
+    table, lexicon = tmp_path / "synth.vec", tmp_path / "synth.tsv"
+    cli(["synth", "--dimension", "300", "--per-class", "400", "--second-signal", "4",
+         "--seed", "7", "--out-embeddings", str(table), "--out-lexicon", str(lexicon),
+         "--report", str(tmp_path / "synth.json")], "1")
+    results, outputs = [], []
+    for threads in ("1", "2"):
+        stack, report = tmp_path / f"stack{threads}.txt", tmp_path / f"report{threads}.json"
+        after = tmp_path / f"after{threads}.vec"
+        cli(["disentangle", "--embeddings", str(table), "--lexicon", str(lexicon),
+             "--per-class", "400", "--seed", "3", "--out-stack", str(stack),
+             "--out-embeddings", str(after), "--report", str(report)], threads)
+        results.append(read(report)["results"])
+        outputs.append((stack.read_bytes(), after.read_bytes()))
+    assert results[0]["iterations"] >= 2
+    assert results[0] == results[1]
+    assert outputs[0] == outputs[1]
 
 
 def test_weat_before_after_reports_delta(env, tmp_path):

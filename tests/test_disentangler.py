@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -99,19 +100,22 @@ def test_apply_stack_orthogonal_complement_preserved():
 
 
 def test_blocked_projection_matches_unblocked_reference(monkeypatch):
-    # 7-row blocks: the table spans many blocks and ends in a ragged tail.
-    monkeypatch.setattr(disentangler, "_PROJECT_ROWS", 7)
     table, lexicon, _, _ = generate(SynthConfig(
         dimension=30, per_class=100, signal_strength=6.0, noise_scale=0.3,
         second_direction_strength=4.0, seed=21))
-    assert len(table) % 7
-    out, stack = run(table, lexicon, small_config())
+    _, stack = run(table, lexicon, small_config())
     assert len(stack) >= 2
-    assert np.array_equal(out.matrix, apply_stack(table, stack).matrix)
+    unblocked = apply_stack(table, stack).matrix
+    # 7-row blocks: the table spans many blocks and ends in a ragged tail.
+    monkeypatch.setattr(disentangler, "_PROJECT_ROWS", 7)
+    assert len(table) % 7
+    blocked = apply_stack(table, stack).matrix
     reference = np.array(table.matrix)
     for d in stack.directions:
         reference -= np.outer(reference @ d, d)
-    assert np.max(np.abs(out.matrix - reference)) <= 1e-12
+    # Each row's products are summed in one order, whatever the block edges.
+    assert np.array_equal(blocked, unblocked)
+    assert np.max(np.abs(blocked - reference)) <= 1e-12
 
 
 def test_apply_stack_peak_memory_is_one_copy(monkeypatch):
@@ -186,11 +190,46 @@ def test_vector_norms_never_increase_across_rounds():
     assert np.all(after <= before + 1e-12)
 
 
+def orthonormality_error(directions):
+    return np.max(np.abs(directions @ directions.T - np.eye(len(directions))))
+
+
 def test_consecutive_directions_near_orthogonal():
     table, lexicon, _, _ = generate(SynthConfig(
         dimension=40, per_class=150, signal_strength=5.0, noise_scale=0.5, seed=8))
     out, stack = run(table, lexicon, small_config(per_class=150))
-    assert all(abs(c) <= 0.1 for c in stack.consecutive_cosines)
+    assert len(stack) >= 2
+    assert orthonormality_error(stack.directions) <= 1e-12
+
+
+# Two-direction 20-d oracles, where a stack whose directions were not
+# re-orthogonalized drifted to max |D D^T - I| of 7.5e-3, 2.0e-5 and 6.6e-6.
+@pytest.mark.parametrize("table_seed", [11, 0, 2])
+def test_run_stack_is_orthonormal_and_its_replay_moves_nothing(table_seed):
+    table, lexicon, _, _ = generate(SynthConfig(
+        dimension=20, per_class=300, signal_strength=5.0, noise_scale=0.5,
+        second_direction_strength=4.0, seed=table_seed))
+    out, stack = run(table, lexicon, DisentangleConfig(
+        per_class=300, seed=0, classifier=TrainConfig(seed=0)))
+    assert len(stack) >= 7
+    assert orthonormality_error(stack.directions) <= 1e-12
+    again = apply_stack(out, stack).matrix
+    moved = np.linalg.norm(again - out.matrix, axis=1)
+    assert np.all(moved <= 1e-12 * np.linalg.norm(out.matrix, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dimension=st.integers(1, 12), count=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_apply_stack_is_idempotent_on_orthonormal_stacks(dimension, count, seed, scale):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(dimension, min(count, dimension))))
+    stack = HyperplaneStack(directions=q.T)
+    table = EmbeddingTable([f"w{i}" for i in range(9)], scale * rng.normal(size=(9, dimension)))
+    once = apply_stack(table, stack).matrix
+    twice = apply_stack(table.with_matrix(once), stack).matrix
+    assert np.all(np.linalg.norm(twice - once, axis=1)
+                  <= 1e-12 * np.linalg.norm(table.matrix, axis=1))
 
 
 def test_run_is_deterministic():
@@ -234,7 +273,7 @@ def test_stack_applied_to_held_back_words_is_orthogonal():
 
 def test_stack_round_trip(tmp_path):
     rng = np.random.default_rng(12)
-    directions = np.vstack([unit(rng.normal(size=7)) for _ in range(4)])
+    directions = np.linalg.qr(rng.normal(size=(7, 4)))[0].T
     stack = HyperplaneStack(directions=directions)
     path = tmp_path / "stack.txt"
     save_stack(stack, path)
@@ -270,6 +309,17 @@ def test_load_stack_validates(tmp_path):
         load_stack(path)
     path.write_text("1 2\nzebra 1\n", encoding="utf-8")
     with pytest.raises(FormatError, match="non-numeric"):
+        load_stack(path)
+
+
+def test_stack_rejects_directions_that_are_not_orthogonal(tmp_path):
+    directions = np.array([[1.0, 0.0, 0.0], [2**-0.5, 2**-0.5, 0.0]])
+    with pytest.raises(ValueError, match="orthonormal within 1e-9: rows 0 and 1 "):
+        HyperplaneStack(directions=directions)
+    path = tmp_path / "skew.txt"
+    path.write_text("2 3\n1 0 0\n0.70710678118654757 0.70710678118654757 0\n",
+                    encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*rows 0 and 1 have dot"):
         load_stack(path)
 
 
