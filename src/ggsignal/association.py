@@ -17,8 +17,8 @@ Conventions pinned here and relied on by every caller:
   ``p = (count + 1) / (samples + 1)`` is used and recorded as such.
 
 All functions are pure over immutable inputs. Both modes decide each
-partition as gathering and summing its index row would, and differ only in
-the partitions they count:
+partition as gathering and summing its sorted index row would, and differ
+only in the partitions they count:
 
 * exact mode counts every partition, by meet-in-the-middle subset sums
   (`_exact_count`);
@@ -29,7 +29,9 @@ the partitions they count:
   up from per-byte subset-sum tables (`_monte_carlo_count`).
 
 In both, a rounding bound (`_rounding_delta`) certifies the fast sums, and
-only the rare partitions it leaves undecided are gathered and summed.
+only the rare partitions it leaves undecided are gathered and summed, over
+their items in ascending order, as the identity partition is: it never counts
+itself.
 Results depend on neither thread counts nor call order.
 """
 
@@ -219,64 +221,44 @@ def _exact_count(scores: np.ndarray, observed: float) -> int:
 
 
 @lru_cache(maxsize=4)
-def _monte_carlo_index_matrix(n_items: int, samples: int, seed: int) -> np.ndarray:
-    """`samples` random first halves of `n_items`, one per row.
+def _monte_carlo_masks(n_items: int, samples: int, seed: int) -> np.ndarray:
+    """`samples` random first halves of `n_items`, as membership bits.
 
     Drawn from `rng_for(seed, "permutation")` in batches of 4096 rows: each
-    row keeps the `n_items // 2` smallest of `n_items` uniform keys.
-    """
-    group = n_items // 2
-    matrix = np.empty((samples, group), dtype=_index_dtype(n_items))
-    rng = rng_for(seed, "permutation")
-    for start in range(0, samples, 4096):
-        keys = rng.random((min(4096, samples - start), n_items))
-        matrix[start:start + len(keys)] = np.argpartition(keys, group - 1, axis=1)[:, :group]
-    matrix.setflags(write=False)
-    return matrix
-
-
-@lru_cache(maxsize=4)
-def _monte_carlo_masks(n_items: int, samples: int, seed: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """The first halves of `_monte_carlo_index_matrix(n_items, samples, seed)`
-    as membership bits, and the samples whose bits may differ from that row.
-
-    The same keys are redrawn in the same batches. Item i is bit i % 8 of
-    byte i // 8, and byte j of every sample is row j of the mask array, so
-    each byte's samples lie contiguous. A sample's bits mark the keys up to
-    its `n_items // 2`-th smallest; when tied keys mark more than that, the
-    index row is one arbitrary choice among them, and the sample is listed.
+    row marks the items of its `n_items // 2` smallest of `n_items` uniform
+    keys, and of keys tied with the last one marked, the lowest items. Item i
+    is bit i % 8 of byte i // 8, and byte j of every sample is row j of the
+    mask array, so each byte's samples lie contiguous.
     """
     group = n_items // 2
     masks = np.empty((-(-n_items // 8), samples), dtype=np.uint8)
-    tied = []
     rng = rng_for(seed, "permutation")
     for start in range(0, samples, 4096):
         keys = rng.random((min(4096, samples - start), n_items))
         member = keys <= np.partition(keys, group - 1, axis=1)[:, group - 1:group]
+        for row in np.flatnonzero(np.count_nonzero(member, axis=1) != group):
+            member[row] = False
+            member[row, np.argsort(keys[row], kind="stable")[:group]] = True
         masks[:, start:start + len(keys)] = np.packbits(member, axis=1, bitorder="little").T
-        tied.append(start + np.flatnonzero(np.count_nonzero(member, axis=1) != group))
-    tied = np.concatenate(tied)
     masks.setflags(write=False)
-    tied.setflags(write=False)
-    return masks, tied
+    return masks
 
 
 def _monte_carlo_count(scores: np.ndarray, observed: float, samples: int, seed: int) -> int:
-    """How many of the seeded samples have a first-set sum, taken as
-    `scores[row].sum()` over their `_monte_carlo_index_matrix` row, strictly
-    greater than `observed`: what summing every sample counts.
+    """How many of the seeded samples (`_monte_carlo_masks`) have a first-set
+    sum, taken as `scores[row].sum()` over their members in ascending order,
+    strictly greater than `observed`: what summing every sample counts.
 
-    Each sample's sum is looked up from its membership bytes
-    (`_monte_carlo_masks`): byte j's 256 subset sums of items 8j to 8j + 7
-    are built by doubling, one new item at a time. Samples above
-    `observed + delta` count and samples below `observed - delta` do not
-    (`_rounding_delta`); undecided and tied samples are gathered from the
-    index matrix, built only then, and summed by the rule, `_CHUNK` rows at a
-    time.
+    Each sample's sum is looked up from its membership bytes: byte j's 256
+    subset sums of items 8j to 8j + 7 are built by doubling, one new item at
+    a time. Samples above `observed + delta` count and samples below
+    `observed - delta` do not (`_rounding_delta`); the undecided ones are
+    unpacked into ascending member rows and summed by the rule, `_CHUNK` rows
+    at a time. The identity partition is summed as `observed` is, so it never
+    counts itself.
     """
     n_items = len(scores)
-    masks, tied = _monte_carlo_masks(n_items, samples, seed)
+    masks = _monte_carlo_masks(n_items, samples, seed)
     delta = _rounding_delta(scores)
     if np.isfinite(delta):
         items = np.zeros(8 * len(masks))
@@ -287,19 +269,15 @@ def _monte_carlo_count(scores: np.ndarray, observed: float, samples: int, seed: 
         sums = tables[0].take(masks[0])
         for table, mask in zip(tables[1:], masks[1:]):
             sums += table.take(mask)
-        above = sums > observed + delta
-        undecided = ~above & (sums >= observed - delta)
-        above[tied] = False
-        undecided[tied] = True
-        count = int(np.count_nonzero(above))
-        rows = np.flatnonzero(undecided)
+        count = int(np.count_nonzero(sums > observed + delta))
+        rows = np.flatnonzero((sums <= observed + delta) & (sums >= observed - delta))
     else:
         count, rows = 0, np.arange(samples)
-    if len(rows):
-        idx = _monte_carlo_index_matrix(n_items, samples, seed)
-        for start in range(0, len(rows), _CHUNK):
-            gathered = scores[idx.take(rows[start:start + _CHUNK], axis=0)]
-            count += int(np.count_nonzero(gathered.sum(axis=1) > observed))
+    for start in range(0, len(rows), _CHUNK):
+        bits = np.unpackbits(masks[:, rows[start:start + _CHUNK]].T, axis=1, count=n_items,
+                             bitorder="little")
+        members = np.nonzero(bits)[1].reshape(len(bits), n_items // 2)
+        count += int(np.count_nonzero(scores[members].sum(axis=1) > observed))
     return count
 
 
@@ -309,10 +287,10 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
 
     `scores` holds one finite score per item, the observed first set's in its
     first half. A partition counts when its first-set sum, gathered and summed
-    over its index row, is strictly greater than the identity partition's,
-    which is summed the same way so that it never counts itself. When the
-    partition count is at most `config.exact_limit`, every partition is
-    counted (`_exact_count`); otherwise `config.samples` seeded random
+    over its sorted index row, is strictly greater than the identity
+    partition's, which is summed the same way so that it never counts itself.
+    When the partition count is at most `config.exact_limit`, every partition
+    is counted (`_exact_count`); otherwise `config.samples` seeded random
     partitions are (`_monte_carlo_count`), and p = (count + 1) / (samples + 1).
     Either count equals what gathering and summing each partition's row gives,
     while only the partitions within a rounding bound of the identity's sum

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from ggsignal import association
 from ggsignal.association import (_CHUNK, PermutationConfig, PValueMethod, _index_dtype,
-                                  _monte_carlo_index_matrix, _monte_carlo_masks, _subset_rows,
-                                  permutation_p, sc_effect_sizes, sc_weat, weat)
+                                  _monte_carlo_masks, _subset_rows, permutation_p,
+                                  sc_effect_sizes, sc_weat, weat)
 from ggsignal.embeddings import EmbeddingTable
 from ggsignal.errors import (DataError, MissingWordsError, NumericError, UndersizedSetError,
                              ZeroVectorError)
@@ -336,8 +336,15 @@ def test_permutation_p_rejects_non_finite_scores(bad):
         permutation_p(scores, PermutationConfig(exact_limit=0, samples=100))
 
 
+def _first_halves(keys, group_size):
+    """Each row's items with the `group_size` smallest keys, tied keys taken
+    in ascending item order, as a sorted index row."""
+    return np.sort(np.argsort(keys, axis=1, kind="stable")[:, :group_size], axis=1)
+
+
 # Reference oracle: the earlier callback form of `permutation_p`, kept here
-# only to check the pooled-score form against it.
+# only to check the pooled-score form against it. Every partition is summed
+# over its sorted index row.
 def _callback_permutation_p(statistic_fn, observed, n_items, group_size, config):
     total = math.comb(n_items, group_size)
     if total <= config.exact_limit:
@@ -352,8 +359,7 @@ def _callback_permutation_p(statistic_fn, observed, n_items, group_size, config)
     remaining = config.samples
     while remaining > 0:
         batch = min(remaining, 4096)
-        keys = rng.random((batch, n_items))
-        idx = np.argpartition(keys, group_size - 1, axis=1)[:, :group_size]
+        idx = _first_halves(rng.random((batch, n_items)), group_size)
         stats = statistic_fn(idx)
         count += int(np.sum(stats > observed))
         remaining -= batch
@@ -419,18 +425,18 @@ def test_interleaved_calls_match_uncached_reference():
             fn, observed, n_items, group, config)
 
 
-@pytest.mark.parametrize("n_items, dtype", [(24, np.uint8), (256, np.uint8),
-                                            (300, np.uint16)])
-def test_cached_monte_carlo_matrix_is_compact_and_read_only(n_items, dtype):
+@pytest.mark.parametrize("n_items", [24, 256, 300])
+def test_cached_monte_carlo_masks_are_compact_and_read_only(n_items):
     samples = 5_000
-    matrix = _monte_carlo_index_matrix(n_items, samples, 11)
-    assert matrix.dtype == dtype
-    assert matrix.shape == (samples, n_items // 2)
-    assert matrix.nbytes == samples * (n_items // 2) * np.dtype(dtype).itemsize
-    assert not matrix.flags.writeable
-    assert _monte_carlo_index_matrix(n_items, samples, 11) is matrix
-    # Every row is a set of distinct items.
-    assert (np.sort(matrix, axis=1)[:, 1:] != np.sort(matrix, axis=1)[:, :-1]).all()
+    masks = _monte_carlo_masks(n_items, samples, 11)
+    assert masks.dtype == np.uint8
+    assert masks.nbytes == samples * -(-n_items // 8)
+    assert not masks.flags.writeable
+    assert _monte_carlo_masks(n_items, samples, 11) is masks
+    # Every sample marks half of the items, and no bit past the last item.
+    bits = np.unpackbits(masks, axis=0, bitorder="little")
+    assert (bits.sum(axis=0) == n_items // 2).all()
+    assert not bits[n_items:].any()
 
 
 @settings(max_examples=150, deadline=None)
@@ -460,11 +466,15 @@ def test_monte_carlo_counting_at_every_size():
 
 # Frozen from the earlier Monte Carlo loop, which gathered and summed every
 # sample's index row; `count` is the number of samples above the identity.
+# The decimals case reads 60107 since samples are summed in ascending item
+# order: it read 60150 when a sample was summed in the order of
+# `np.argpartition`, whose sums of these 0.1-step scores can round above the
+# identity's sum of the same items.
 @pytest.mark.parametrize("n_items, style, samples, seed, count", [
     (22, "normal", 100_000, 1, 75563),
     (24, "normal", 100_000, 2, 14940),
     (40, "normal", 100_000, 3, 66653),
-    (64, "decimals", 100_000, 4, 60150),
+    (64, "decimals", 100_000, 4, 60107),
     (70, "normal", 100_000, 5, 75352),
     (300, "normal", 5_000, 6, 1388),
 ])
@@ -490,28 +500,42 @@ def test_fixture_weat_monte_carlo_p_values_are_pinned(fixture_table, fixture_sti
 @pytest.mark.parametrize("n_items, samples, seed", [(2, 7, 0), (22, 5_000, 1), (24, 4_097, 2),
                                                     (70, 3_000, 3), (300, 500, 4)])
 def test_monte_carlo_masks_mark_the_index_rows(n_items, samples, seed):
-    masks, tied = _monte_carlo_masks(n_items, samples, seed)
-    assert masks.dtype == np.uint8
+    masks = _monte_carlo_masks(n_items, samples, seed)
     assert masks.shape == (-(-n_items // 8), samples)
-    assert not masks.flags.writeable and not tied.flags.writeable
-    assert _monte_carlo_masks(n_items, samples, seed)[0] is masks
+    rng = rng_for(seed, "permutation")
+    rows = np.vstack([_first_halves(rng.random((min(4096, samples - start), n_items)),
+                                    n_items // 2) for start in range(0, samples, 4096)])
     member = np.zeros((samples, n_items), dtype=bool)
-    rows = _monte_carlo_index_matrix(n_items, samples, seed).astype(np.intp)
     np.put_along_axis(member, rows, True, axis=1)
-    assert len(tied) == 0
     assert (np.packbits(member, axis=1, bitorder="little").T == masks).all()
 
 
-def test_decided_samples_build_no_index_matrix():
-    _monte_carlo_index_matrix.cache_clear()
+def test_decided_samples_are_not_unpacked(monkeypatch):
+    unpacked = []
+    unpackbits = np.unpackbits
+    monkeypatch.setattr(association.np, "unpackbits",
+                        lambda *args, **kwargs: unpacked.append(1) or unpackbits(*args, **kwargs))
     config = PermutationConfig(exact_limit=0, samples=20_000, seed=13)
     scores = np.random.default_rng(5).normal(size=26)
     assert permutation_p(scores, config) == _summed_p(scores, config)
-    assert _monte_carlo_index_matrix.cache_info().misses == 0
+    assert not unpacked
     # All-equal scores leave every sample undecided.
     scores = np.full(26, 0.1)
     assert permutation_p(scores, config) == _summed_p(scores, config)
-    assert _monte_carlo_index_matrix.cache_info().misses == 1
+    assert len(unpacked) == 1
+
+
+def test_identity_sample_never_counts_itself():
+    # The first set holds the four largest scores, so only the identity
+    # partition can reach its sum; n = 8 draws it about once in 70 samples.
+    # Summed in another order its items can round above the identity's sum,
+    # which counted up to 21 of 2,000 samples for 15 of these 40 seeds.
+    rng = np.random.default_rng(3)
+    for seed in range(40):
+        scores = np.concatenate([rng.uniform(10, 11, 4), rng.uniform(0, 1, 4)])
+        config = PermutationConfig(exact_limit=0, samples=2_000, seed=seed)
+        assert permutation_p(scores, config)[0] == 1 / 2_001
+        assert permutation_p(scores)[0] == 0.0
 
 
 class _QuarterKeys:
@@ -529,17 +553,16 @@ def test_tied_keys_are_summed_over_their_index_rows(monkeypatch):
                         lambda seed, name: _QuarterKeys(rng_for(seed, name)))
     n_items, samples = 12, 3_000
     _monte_carlo_masks.cache_clear()
-    _monte_carlo_index_matrix.cache_clear()
     try:
-        masks, tied = _monte_carlo_masks(n_items, samples, 0)
-        rows = _monte_carlo_index_matrix(n_items, samples, 0)
-        assert 0 < len(tied) < samples
+        masks = _monte_carlo_masks(n_items, samples, 0)
+        keys = _QuarterKeys(rng_for(0, "permutation")).random((samples, n_items))
+        kth = np.sort(keys, axis=1)[:, n_items // 2 - 1:n_items // 2]
+        assert 0 < np.count_nonzero((keys <= kth).sum(axis=1) > n_items // 2) < samples
+        # Of tied keys, the lowest items are members.
+        rows = _first_halves(keys, n_items // 2)
         member = np.zeros((samples, n_items), dtype=bool)
-        np.put_along_axis(member, rows.astype(np.intp), True, axis=1)
-        bits = np.packbits(member, axis=1, bitorder="little").T
-        untied = np.setdiff1d(np.arange(samples), tied)
-        assert (bits[:, untied] == masks[:, untied]).all()
-        assert (bits[:, tied] != masks[:, tied]).any(axis=0).all()
+        np.put_along_axis(member, rows, True, axis=1)
+        assert (np.packbits(member, axis=1, bitorder="little").T == masks).all()
         rng = np.random.default_rng(12)
         for scores in (rng.normal(size=n_items), rng.integers(-3, 4, n_items) * 0.1):
             observed = scores[np.arange(n_items // 2)[None, :]].sum(axis=1)[0]
@@ -548,7 +571,6 @@ def test_tied_keys_are_summed_over_their_index_rows(monkeypatch):
             assert permutation_p(scores, config)[0] == (count + 1) / (samples + 1)
     finally:
         _monte_carlo_masks.cache_clear()
-        _monte_carlo_index_matrix.cache_clear()
 
 
 def test_permutation_p_ties_never_count():
