@@ -34,12 +34,10 @@ from .lexicon import GenderLexicon, balanced_sample
 
 log = logging.getLogger(__name__)
 
-# Rows projected per block, which bounds the one temporary to a block. The
-# products are `np.einsum` loops, not BLAS calls: they sum each row's terms in
-# one fixed order, so block edges and BLAS thread counts move no bit. The
-# BLAS rank-k product moved last bits with both, even at block edges that are
-# multiples of 4, and the per-direction BLAS matrix-vector product with edges
-# that split its groups of 4 rows.
+# Rows projected per block, which bounds the one temporary to a block. Both
+# products are `np.einsum` loops rather than BLAS calls: they sum each row's
+# terms in one fixed order, so neither block edges nor BLAS thread counts move
+# a bit, where a BLAS rank-k product moves last bits with both.
 _PROJECT_ROWS = 4096
 
 

@@ -466,10 +466,8 @@ def test_monte_carlo_counting_at_every_size():
 
 # Frozen from the earlier Monte Carlo loop, which gathered and summed every
 # sample's index row; `count` is the number of samples above the identity.
-# The decimals case reads 60107 since samples are summed in ascending item
-# order: it read 60150 when a sample was summed in the order of
-# `np.argpartition`, whose sums of these 0.1-step scores can round above the
-# identity's sum of the same items.
+# The decimals case sums its rows in ascending item order: in another order
+# its 0.1-step scores can round above the identity's sum of the same items.
 @pytest.mark.parametrize("n_items, style, samples, seed, count", [
     (22, "normal", 100_000, 1, 75563),
     (24, "normal", 100_000, 2, 14940),
@@ -510,7 +508,7 @@ def test_monte_carlo_masks_mark_the_index_rows(n_items, samples, seed):
     assert (np.packbits(member, axis=1, bitorder="little").T == masks).all()
 
 
-def test_decided_samples_are_not_unpacked(monkeypatch):
+def test_decided_samples_build_no_index_matrix(monkeypatch):
     unpacked = []
     unpackbits = np.unpackbits
     monkeypatch.setattr(association.np, "unpackbits",

@@ -70,7 +70,7 @@ def test_apply_stack_empty_is_identity(fixture_table):
 def test_apply_stack_idempotent():
     rng = np.random.default_rng(4)
     table = EmbeddingTable([f"w{i}" for i in range(20)], rng.normal(size=(20, 8)))
-    # stacks out of run() are mutually near-orthogonal; idempotence holds there
+    # stacks are orthonormal, so idempotence holds
     directions, _ = np.linalg.qr(rng.normal(size=(8, 3)))
     stack = HyperplaneStack(directions=directions.T)
     once = apply_stack(table, stack)
