@@ -58,8 +58,7 @@ def main() -> int:
         "desk": {"seed": DESK_SEED, "vocab_limit": size.vocab_limit,
                  "per_class": size.per_class, "sweep_per_gender": size.sweep_per_gender,
                  "pca_per_gender": size.pca_per_gender},
-        "oracles": {stem: {"synth": fields, "per_class": fields["per_class"]}
-                    for stem, fields in ORACLES.items()},
+        "oracles": ORACLES,
     }
     (out / "corpus.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return 0

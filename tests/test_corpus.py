@@ -1,10 +1,10 @@
 """Frozen results corpus: every subcommand's `results` on checked-in inputs.
 
 The inputs under data/corpus (a toy desk fixture and two 20-d oracles) were
-written once by scripts/make_corpus_inputs.py. The test runs the benchmark's
-reproduce command list on the desk fixture, plus `sc-weat` by exact counting
-and by Monte Carlo, `synth`, and `disentangle` on each oracle, and compares
-every report's `results` with data/golden_results.json.
+written once by scripts/make_corpus_inputs.py. The test runs the reproduce
+command list of perfbench/workloads.py on the desk fixture, plus `sc-weat` by
+exact counting and by Monte Carlo, `synth`, and `disentangle` on each oracle,
+and compares every report's `results` with data/golden_results.json.
 
 Integers, strings, booleans and lists compare exactly. Floats compare bitwise
 when the platform recorded in the corpus (numpy version, BLAS build, machine)
@@ -18,6 +18,7 @@ import json
 import math
 import platform
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,13 @@ import pytest
 
 from ggsignal.cli import main
 
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+import fixtures  # noqa: E402  (perfbench/fixtures.py)
+import workloads  # noqa: E402
+
 DATA = Path(__file__).parent / "data"
 CORPUS = DATA / "corpus"
 GOLDEN = DATA / "golden_results.json"
-LANG = "xx"
 RELATIVE_TOLERANCE = 1e-9
 
 
@@ -38,79 +42,49 @@ def _platform() -> dict:
             "machine": platform.machine()}
 
 
-def _commands(out: Path) -> dict[str, list[str]]:
-    """Report name -> argv: the reproduce list of perfbench/workloads.py over
-    the desk fixture, then the sc-weat, synth and oracle runs."""
+def _commands(out: Path) -> list[list[str]]:
+    """The benchmark's reproduce command list over the desk fixture, then the
+    sc-weat, synth and oracle runs; each argv names its report."""
     manifest = json.loads((CORPUS / "corpus.json").read_text(encoding="utf-8"))
-    desk = manifest["desk"]
-    d = {name: str(CORPUS / "desk" / name) for name in (
-        "table.vec", "english.vec", "lexicon.tsv", "animate.txt", "stimuli.txt",
-        "simlex.tsv", "simlex_english.tsv", "valence.tsv", "analogy.txt")}
-    limit, seed = str(desk["vocab_limit"]), "0"
-    raw, dis = d["table.vec"], str(out / "table.disentangled.vec")
-    lex = ["--lexicon", d["lexicon.tsv"], "--animacy", d["animate.txt"]]
-    stim = ["--stimuli", d["stimuli.txt"]]
-    before_after = ["--before", raw, "--after", dis, "--vocab-limit", limit,
-                    "--seed", seed, "--language", LANG]
-    loose = ["--on-missing", "drop", "--min-set-size", "5", "--trim-to-equal"]
-    commands = {
-        "disentangle": ["disentangle", "--embeddings", raw, *lex, "--vocab-limit", limit,
-                        "--per-class", str(desk["per_class"]), "--seed", seed,
-                        "--language", LANG, "--out-embeddings", dis,
-                        "--out-stack", str(out / "stack.txt")],
-        "gens": ["weat", *stim, "--targets-x", f"{LANG}.gens.science",
-                 "--targets-y", f"{LANG}.gens.humanities", "--attributes-a", f"{LANG}.gens.men",
-                 "--attributes-b", f"{LANG}.gens.women", *before_after, *loose],
-        "genc": ["weat", *stim, "--targets-x", f"{LANG}.genc.men",
-                 "--targets-y", f"{LANG}.genc.women", "--attributes-a", f"{LANG}.genc.career",
-                 "--attributes-b", f"{LANG}.genc.family", *before_after, *loose],
-        "gg_weat": ["gg-weat", "--pairs", d["simlex.tsv"], *lex, *stim,
-                    "--attributes-a", f"{LANG}.gens.women", "--attributes-b", f"{LANG}.gens.men",
-                    *before_after, *loose],
-        "sweep": ["sweep", *lex, *stim, "--attributes-f", f"{LANG}.gens.women",
-                  "--attributes-m", f"{LANG}.gens.men",
-                  "--per-gender", str(desk["sweep_per_gender"]), *before_after, *loose,
-                  "--out-csv", str(out / "sweep.csv")],
-        "pairdist": ["pairdist", "--pairs-gendered", d["simlex.tsv"],
-                     "--pairs-english", d["simlex_english.tsv"], *lex, "--raw", raw,
-                     "--disentangled", dis, "--english", d["english.vec"],
-                     "--vocab-limit", limit, "--seed", seed, "--language", LANG],
-        "pca_before": ["pca-coords", "--embeddings", raw, *lex, "--vocab-limit", limit,
-                       "--per-gender", str(desk["pca_per_gender"]), "--seed", seed,
-                       "--out-csv", str(out / "pca_before.csv")],
-        "pca_after": ["pca-coords", "--embeddings", dis, *lex,
-                      "--per-gender", str(desk["pca_per_gender"]), "--seed", seed,
-                      "--out-csv", str(out / "pca_after.csv")],
-        "valnorm": ["valnorm", "--norms", d["valence.tsv"], *stim,
-                    "--pleasant", f"{LANG}.base.pleasant", "--unpleasant", f"{LANG}.base.unpleasant",
-                    *before_after, *loose],
-        "analogy": ["analogy", "--questions", d["analogy.txt"],
-                    "--sections", "family,capital-common-countries", *before_after],
-    }
-    sc_weat = ["sc-weat", *stim, "--word", "val000", "--attributes-a", f"{LANG}.genc.career",
-               "--attributes-b", f"{LANG}.genc.family", *before_after]
-    commands["sc_weat_exact"] = sc_weat
-    commands["sc_weat_mc"] = [*sc_weat, "--exact-limit", "0", "--p-samples", "5000"]
-    two = manifest["oracles"]["oracle-two"]["synth"]
-    commands["synth"] = ["synth", "--dimension", str(two["dimension"]),
-                         "--per-class", str(two["per_class"]), "--signal", str(two["signal_strength"]),
-                         "--noise", str(two["noise_scale"]),
-                         "--second-signal", str(two["second_direction_strength"]),
-                         "--seed", str(two["seed"]), "--out-embeddings", str(out / "synth.vec")]
+    desk = CORPUS / "desk"
+    sizes = {k: v for k, v in manifest["desk"].items() if k != "seed"}
+    fx = fixtures.DeskFixture(
+        root=str(desk), table=str(desk / "table.vec"), english=str(desk / "english.vec"),
+        lexicon=str(desk / "lexicon.tsv"), animacy=str(desk / "animate.txt"),
+        stimuli=str(desk / "stimuli.txt"), pairs=str(desk / "simlex.tsv"),
+        pairs_english=str(desk / "simlex_english.tsv"), valence=str(desk / "valence.tsv"),
+        analogy=str(desk / "analogy.txt"), planted="", rows=0, dimension=0, bytes=0, **sizes)
+    commands = workloads.reproduce_commands(fx, out, 0)
+    lang = fixtures.LANG
+    sc_weat = ["sc-weat", "--stimuli", fx.stimuli, "--word", "val000",
+               "--attributes-a", f"{lang}.genc.career", "--attributes-b", f"{lang}.genc.family",
+               "--before", fx.table, "--after", str(out / "table.disentangled.vec"),
+               "--vocab-limit", str(fx.vocab_limit), "--seed", "0", "--language", lang]
+    commands.append([*sc_weat, "--report", str(out / "sc_weat_exact.json")])
+    commands.append([*sc_weat, "--exact-limit", "0", "--p-samples", "5000",
+                     "--report", str(out / "sc_weat_mc.json")])
+    two = manifest["oracles"]["oracle-two"]
+    commands.append(["synth", "--dimension", str(two["dimension"]),
+                     "--per-class", str(two["per_class"]),
+                     "--signal", str(two["signal_strength"]), "--noise", str(two["noise_scale"]),
+                     "--second-signal", str(two["second_direction_strength"]),
+                     "--seed", str(two["seed"]), "--out-embeddings", str(out / "synth.vec"),
+                     "--report", str(out / "synth.json")])
     for stem, oracle in manifest["oracles"].items():
-        commands[stem] = ["disentangle", "--embeddings", str(CORPUS / f"{stem}.vec"),
-                          "--lexicon", str(CORPUS / f"{stem}.tsv"),
-                          "--per-class", str(oracle["per_class"]), "--seed", seed,
-                          "--out-stack", str(out / f"{stem}.stack")]
+        commands.append(["disentangle", "--embeddings", str(CORPUS / f"{stem}.vec"),
+                         "--lexicon", str(CORPUS / f"{stem}.tsv"),
+                         "--per-class", str(oracle["per_class"]), "--seed", "0",
+                         "--out-stack", str(out / f"{stem}.stack"),
+                         "--report", str(out / f"{stem}.json")])
     return commands
 
 
 def _run_corpus(out: Path) -> dict:
     results = {}
-    for name, argv in _commands(out).items():
-        report = out / f"{name}.json"
-        assert main([*argv, "--report", str(report)]) == 0, argv
-        results[name] = json.loads(report.read_text(encoding="utf-8"))["results"]
+    for argv in _commands(out):
+        assert main(argv) == 0, argv
+        report = Path(argv[argv.index("--report") + 1])
+        results[report.stem] = json.loads(report.read_text(encoding="utf-8"))["results"]
     return {"platform": _platform(), "results": results}
 
 
