@@ -12,9 +12,9 @@ Conventions pinned here and relied on by every caller:
   increase strictly with that sum, so this counts the partitions with a
   larger statistic. In exact mode the denominator is the number of all
   equal-size partitions, identity partition included.
-* Exact counting runs while the partition count is at most `exact_limit`;
-  beyond that a seeded Monte Carlo estimate with
-  ``p = (count + 1) / (samples + 1)`` is used and recorded as such.
+* Exact counting runs for at most `_EXACT_MAX_ITEMS` pooled scores; beyond
+  that a seeded Monte Carlo estimate with ``p = (count + 1) / (samples + 1)``
+  is used and recorded as such.
 
 All functions are pure over immutable inputs. Both modes decide each
 partition as gathering and summing its sorted index row would, and differ
@@ -55,16 +55,18 @@ log = logging.getLogger(__name__)
 # Most partition rows gathered and summed at once.
 _CHUNK = 65536
 
+# Most pooled scores whose partitions are all counted, C(20, 10) = 184,756 of
+# them: up to here that is cheaper than the default 100,000 samples. Another
+# value changes which p-values are exact.
+_EXACT_MAX_ITEMS = 20
+
 
 @dataclass(frozen=True)
 class PermutationConfig:
-    exact_limit: int = 200_000
     samples: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.exact_limit < 0:
-            raise ValueError("exact_limit must be >= 0")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
 
@@ -289,9 +291,9 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
     first half. A partition counts when its first-set sum, gathered and summed
     over its sorted index row, is strictly greater than the identity
     partition's, which is summed the same way so that it never counts itself.
-    When the partition count is at most `config.exact_limit`, every partition
-    is counted (`_exact_count`); otherwise `config.samples` seeded random
-    partitions are (`_monte_carlo_count`), and p = (count + 1) / (samples + 1).
+    With at most `_EXACT_MAX_ITEMS` scores every partition is counted
+    (`_exact_count`); with more, `config.samples` seeded random partitions
+    are (`_monte_carlo_count`), and p = (count + 1) / (samples + 1).
     Either count equals what gathering and summing each partition's row gives,
     while only the partitions within a rounding bound of the identity's sum
     are summed that way.
@@ -307,8 +309,8 @@ def permutation_p(scores: np.ndarray, config: PermutationConfig = PermutationCon
                            f"no p-value")
     group = n_items // 2
     observed = scores.take(np.arange(group)[None, :]).sum(axis=1)[0]
-    total = comb(n_items, group)
-    if total <= config.exact_limit:
+    if n_items <= _EXACT_MAX_ITEMS:
+        total = comb(n_items, group)
         return _exact_count(scores, observed) / total, PValueMethod("exact", partitions=total)
     count = _monte_carlo_count(scores, observed, config.samples, config.seed)
     p = (count + 1) / (config.samples + 1)

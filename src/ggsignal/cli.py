@@ -138,8 +138,6 @@ def _default_stimuli_path() -> Path:
 def _table(args, flag: str, required: list[str]) -> EmbeddingTable:
     # With a vocabulary cutoff, words the command is about to test must stay
     # loadable even when ranked below the cutoff.
-    if args.vocab_limit is not None and args.vocab_limit < 1:
-        raise UsageError("vocab_limit must be positive")
     return load_table(_resolve(getattr(args, flag)), vocab_limit=args.vocab_limit,
                       required_words=required if args.vocab_limit else None)
 
@@ -165,25 +163,21 @@ def _gender_sample(args, lexicon: GenderLexicon, tables: tuple[EmbeddingTable, .
 
 
 def _perm_config(args) -> PermutationConfig:
-    return PermutationConfig(exact_limit=args.exact_limit, samples=args.p_samples,
-                             seed=args.seed)
+    return PermutationConfig(samples=args.p_samples, seed=args.seed)
 
 
 def _add_table_args(parser: _Parser) -> None:
     parser.add_argument("--embeddings", help="single table to evaluate")
     parser.add_argument("--before", help="table before disentanglement")
     parser.add_argument("--after", help="table after disentanglement")
-    parser.add_argument("--vocab-limit", type=int, default=None,
+    parser.add_argument("--vocab-limit", type=_at_least(1), default=None,
                         help="keep only the first N vocabulary entries (test words "
                              "are force-loaded); recorded in the report")
 
 
 def _add_perm_args(parser: _Parser) -> None:
-    defaults = PermutationConfig()
-    parser.add_argument("--p-samples", type=_at_least(1), default=defaults.samples,
-                        help="Monte Carlo sample count beyond the exact limit")
-    parser.add_argument("--exact-limit", type=_at_least(0), default=defaults.exact_limit,
-                        help="max partition count for exact counting")
+    parser.add_argument("--p-samples", type=_at_least(1), default=PermutationConfig().samples,
+                        help="Monte Carlo sample count, for p-values not counted exactly")
     _add_set_args(parser)
 
 
@@ -420,7 +414,7 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--lexicon", required=True, help="gendered-noun TSV (word<TAB>F|M)")
     p.add_argument("--animacy", help="animate words to exclude, one per line")
-    p.add_argument("--vocab-limit", type=int, default=None)
+    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
     p.add_argument("--iterations", type=int, default=15, help="projection cap (0 = measure only)")
     p.add_argument("--stop-accuracy", type=float, default=0.52)
     p.add_argument("--per-class", type=int, default=3000)
@@ -494,7 +488,7 @@ def build_parser() -> _Parser:
     p.add_argument("--raw", required=True)
     p.add_argument("--disentangled", required=True)
     p.add_argument("--english", required=True)
-    p.add_argument("--vocab-limit", type=int, default=None)
+    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
     common(p)
     p.set_defaults(handler=_cmd_pairdist)
 
@@ -507,7 +501,7 @@ def build_parser() -> _Parser:
     p.add_argument("--per-gender", type=_at_least(1), default=2000)
     p.add_argument("--before", required=True)
     p.add_argument("--after", required=True)
-    p.add_argument("--vocab-limit", type=int, default=None)
+    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
     p.add_argument("--out-csv")
     _add_set_args(p)
     common(p)
@@ -531,7 +525,7 @@ def build_parser() -> _Parser:
     p.add_argument("--embeddings", required=True)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--animacy")
-    p.add_argument("--vocab-limit", type=int, default=None)
+    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
     p.add_argument("--per-gender", type=_at_least(1), default=500)
     p.add_argument("--out-csv", required=True)
     common(p)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from .embeddings import _parse_block, open_text
@@ -56,13 +57,13 @@ class GenderLexicon:
         """The feminine words, then the masculine words."""
         return self.feminine + self.masculine
 
-    @property
+    @cached_property
     def _feminine_set(self) -> frozenset[str]:
-        return _cached_set(self, "_fem_cache", self.feminine)
+        return frozenset(self.feminine)
 
-    @property
+    @cached_property
     def _masculine_set(self) -> frozenset[str]:
-        return _cached_set(self, "_masc_cache", self.masculine)
+        return frozenset(self.masculine)
 
     def restricted_to(self, available: Iterable[str]) -> "GenderLexicon":
         """Lexicon restricted to words present in `available` (e.g. a table)."""
@@ -72,14 +73,6 @@ class GenderLexicon:
             tuple(w for w in self.feminine if w in pool),
             tuple(w for w in self.masculine if w in pool),
         )
-
-
-def _cached_set(obj, attr: str, items: tuple[str, ...]) -> frozenset[str]:
-    cached = getattr(obj, attr, None)
-    if cached is None:
-        cached = frozenset(items)
-        object.__setattr__(obj, attr, cached)
-    return cached
 
 
 @dataclass(frozen=True)
@@ -283,14 +276,22 @@ def load_similarity_pairs(path) -> list[SimilarityPair]:
 
 
 def load_valence_norms(path) -> list[ValenceNorm]:
+    """Load valence norms; a word rated twice is a format error, since the
+    correlation would weigh it twice."""
     norms: list[ValenceNorm] = []
+    rated_on: dict[str, int] = {}
     for lineno, line in _read_lines(path):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"{path}:{lineno}: expected 'word<TAB>valence'")
-        norms.append(ValenceNorm(parts[0].strip(), _parse_number(path, lineno, parts[1])))
+        word = parts[0].strip()
+        if word in rated_on:
+            raise FormatError(f"{path}:{lineno}: word {word!r} already rated on line "
+                              f"{rated_on[word]}")
+        rated_on[word] = lineno
+        norms.append(ValenceNorm(word, _parse_number(path, lineno, parts[1])))
     if not norms:
         raise FormatError(f"{path}: no valence norms found")
     return norms

@@ -13,10 +13,12 @@ import time
 from contextlib import contextmanager
 from itertools import combinations
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from ggsignal import association
 from ggsignal.association import PermutationConfig, weat
 from ggsignal.classifier import TrainConfig
 from ggsignal.cli import main
@@ -79,8 +81,8 @@ def test_criterion_1_projection_and_property_suite(fixture_table, fixture_stimul
             base.effect_size, abs=1e-9)
 
         # exact enumeration vs Monte Carlo on 8+8 targets
-        monte = weat(x, y, a, b, fixture_table,
-                     PermutationConfig(exact_limit=100, samples=100_000, seed=7))
+        with patch.object(association, "_EXACT_MAX_ITEMS", 0):
+            monte = weat(x, y, a, b, fixture_table, PermutationConfig(samples=100_000, seed=7))
         assert abs(monte.p_value - base.p_value) <= 0.01
 
         # null calibration: rejection rate at alpha=0.05 over 200 null draws
@@ -262,14 +264,17 @@ def test_criterion_5_determinism_from_report_echo(tmp_path, fixture_stimuli):
                 "--attributes-a", "fixture.attributes.a",
                 "--attributes-b", "fixture.attributes.b",
                 "--embeddings", str(DATA / "fixture_2d.vec"),
-                "--exact-limit", "10", "--p-samples", "20000",
+                "--p-samples", "20000",
                 "--seed", "97", "--report", str(first)]
-        assert main(argv) == 0
-        report = json.loads(first.read_text(encoding="utf-8"))
+        # 16 pooled scores, sampled rather than counted exactly
+        with patch.object(association, "_EXACT_MAX_ITEMS", 0):
+            assert main(argv) == 0
+            report = json.loads(first.read_text(encoding="utf-8"))
+            assert report["results"]["table"]["p_method"]["kind"] == "monte-carlo"
 
-        second = tmp_path / "second.json"
-        replay = [arg if arg != str(first) else str(second) for arg in report["argv"]]
-        assert main(replay) == 0
+            second = tmp_path / "second.json"
+            replay = [arg if arg != str(first) else str(second) for arg in report["argv"]]
+            assert main(replay) == 0
         rerun = json.loads(second.read_text(encoding="utf-8"))
         assert json.dumps(report["results"], sort_keys=True) == \
             json.dumps(rerun["results"], sort_keys=True)

@@ -10,6 +10,7 @@ import math
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -310,8 +311,9 @@ def test_undecided_pairs_split_across_chunks(monkeypatch, chunk):
     for n_items in (10, 24, 70):
         for scores in (rng.integers(-3, 4, n_items) * 0.1, np.full(n_items, 0.3),
                        rng.normal(size=n_items)):
-            config = PermutationConfig(exact_limit=0, samples=500, seed=n_items)
-            assert permutation_p(scores, config) == _summed_p(scores, config)
+            config = PermutationConfig(samples=500, seed=n_items)
+            with _sampling():
+                assert permutation_p(scores, config) == _summed_p(scores, config)
 
 
 @pytest.mark.parametrize("n_items, size", [(20, 0), (20, 4), (20, 10), (2, 1), (300, 2)])
@@ -333,7 +335,13 @@ def test_permutation_p_rejects_non_finite_scores(bad):
     scores = np.random.default_rng(0).normal(size=24)
     scores[[3, 17]] = bad
     with pytest.raises(NumericError, match="2 of 24 pooled scores are not finite"):
-        permutation_p(scores, PermutationConfig(exact_limit=0, samples=100))
+        permutation_p(scores, PermutationConfig(samples=100))
+
+
+def _sampling():
+    """Inside its with-block, `permutation_p` samples at every size. A
+    context manager, not a fixture, so that hypothesis tests can use it."""
+    return patch.object(association, "_EXACT_MAX_ITEMS", 0)
 
 
 def _first_halves(keys, group_size):
@@ -347,7 +355,7 @@ def _first_halves(keys, group_size):
 # over its sorted index row.
 def _callback_permutation_p(statistic_fn, observed, n_items, group_size, config):
     total = math.comb(n_items, group_size)
-    if total <= config.exact_limit:
+    if n_items <= association._EXACT_MAX_ITEMS:
         idx = _all_partitions(n_items, group_size)
         count = 0
         for start in range(0, total, 65536):
@@ -399,7 +407,7 @@ def _sc_weat_statistic(pooled):
 @pytest.mark.parametrize("n_items", [16, 20, 24, 32])
 @pytest.mark.parametrize("statistic", [_weat_statistic, _sc_weat_statistic])
 def test_permutation_p_matches_callback_reference(n_items, statistic):
-    config = PermutationConfig(exact_limit=200_000, samples=20_000, seed=7)
+    config = PermutationConfig(samples=20_000, seed=7)
     for seed in range(3):
         pooled = np.random.default_rng([n_items, seed]).normal(size=n_items)
         fn = statistic(pooled)
@@ -416,7 +424,7 @@ def test_interleaved_calls_match_uncached_reference():
     calls = [(24, 20_000, 3), (24, 20_000, 4), (24, 20_000, 3), (32, 5_000, 3),
              (24, 5_000, 3), (32, 5_000, 4), (24, 20_000, 4), (32, 5_000, 3)]
     for n_items, samples, seed in calls:
-        config = PermutationConfig(exact_limit=0, samples=samples, seed=seed)
+        config = PermutationConfig(samples=samples, seed=seed)
         pooled = np.random.default_rng([n_items, samples]).normal(size=n_items)
         fn = _weat_statistic(pooled)
         group = n_items // 2
@@ -450,8 +458,8 @@ def test_cached_monte_carlo_masks_are_compact_and_read_only(n_items):
 # The bound overflows, so every sample is summed.
 @example(scores=np.linspace(-1, 1, 70) * 1e306, samples=2_000, seed=3)
 def test_monte_carlo_counting_matches_summing_every_sample(scores, samples, seed):
-    config = PermutationConfig(exact_limit=0, samples=samples, seed=seed)
-    with np.errstate(over="ignore", invalid="ignore"):
+    config = PermutationConfig(samples=samples, seed=seed)
+    with _sampling(), np.errstate(over="ignore", invalid="ignore"):
         assert permutation_p(scores, config) == _summed_p(scores, config)
 
 
@@ -460,8 +468,9 @@ def test_monte_carlo_counting_at_every_size():
     rng = np.random.default_rng(26)
     for n_items in range(2, 71, 2):
         for scores in (rng.normal(size=n_items), rng.integers(-3, 4, n_items) * 0.1):
-            config = PermutationConfig(exact_limit=0, samples=1_000, seed=n_items)
-            assert permutation_p(scores, config) == _summed_p(scores, config)
+            config = PermutationConfig(samples=1_000, seed=n_items)
+            with _sampling():
+                assert permutation_p(scores, config) == _summed_p(scores, config)
 
 
 # Frozen from the earlier Monte Carlo loop, which gathered and summed every
@@ -479,7 +488,7 @@ def test_monte_carlo_counting_at_every_size():
 def test_monte_carlo_p_values_are_pinned(n_items, style, samples, seed, count):
     rng = np.random.default_rng([n_items, 26])
     scores = rng.normal(size=n_items) if style == "normal" else rng.integers(-3, 4, n_items) * 0.1
-    config = PermutationConfig(exact_limit=0, samples=samples, seed=seed)
+    config = PermutationConfig(samples=samples, seed=seed)
     assert permutation_p(scores, config) == (
         (count + 1) / (samples + 1), PValueMethod("monte-carlo", samples=samples, seed=seed))
 
@@ -490,8 +499,8 @@ def test_fixture_weat_monte_carlo_p_values_are_pinned(fixture_table, fixture_sti
                                                       samples, count):
     x, y = fixture_stimuli["fixture.targets.x"], fixture_stimuli["fixture.targets.y"]
     a, b = fixture_stimuli["fixture.attributes.a"], fixture_stimuli["fixture.attributes.b"]
-    result = weat(x, y, a, b, fixture_table,
-                  PermutationConfig(exact_limit=100, samples=samples, seed=seed))
+    with _sampling():
+        result = weat(x, y, a, b, fixture_table, PermutationConfig(samples=samples, seed=seed))
     assert result.p_value == (count + 1) / (samples + 1)
 
 
@@ -513,7 +522,7 @@ def test_decided_samples_build_no_index_matrix(monkeypatch):
     unpackbits = np.unpackbits
     monkeypatch.setattr(association.np, "unpackbits",
                         lambda *args, **kwargs: unpacked.append(1) or unpackbits(*args, **kwargs))
-    config = PermutationConfig(exact_limit=0, samples=20_000, seed=13)
+    config = PermutationConfig(samples=20_000, seed=13)
     scores = np.random.default_rng(5).normal(size=26)
     assert permutation_p(scores, config) == _summed_p(scores, config)
     assert not unpacked
@@ -531,8 +540,9 @@ def test_identity_sample_never_counts_itself():
     rng = np.random.default_rng(3)
     for seed in range(40):
         scores = np.concatenate([rng.uniform(10, 11, 4), rng.uniform(0, 1, 4)])
-        config = PermutationConfig(exact_limit=0, samples=2_000, seed=seed)
-        assert permutation_p(scores, config)[0] == 1 / 2_001
+        with _sampling():
+            assert permutation_p(scores, PermutationConfig(samples=2_000, seed=seed))[0] == \
+                1 / 2_001
         assert permutation_p(scores)[0] == 0.0
 
 
@@ -565,8 +575,9 @@ def test_tied_keys_are_summed_over_their_index_rows(monkeypatch):
         for scores in (rng.normal(size=n_items), rng.integers(-3, 4, n_items) * 0.1):
             observed = scores[np.arange(n_items // 2)[None, :]].sum(axis=1)[0]
             count = int(np.count_nonzero(scores[rows].sum(axis=1) > observed))
-            config = PermutationConfig(exact_limit=0, samples=samples)
-            assert permutation_p(scores, config)[0] == (count + 1) / (samples + 1)
+            with _sampling():
+                assert permutation_p(scores, PermutationConfig(samples=samples))[0] == \
+                    (count + 1) / (samples + 1)
     finally:
         _monte_carlo_masks.cache_clear()
 
@@ -578,13 +589,20 @@ def test_permutation_p_ties_never_count():
     assert (p, method.partitions) == (1 / 6, 6)
     p, _ = permutation_p(np.full(16, 0.25))
     assert p == 0.0
-    p, _ = permutation_p(np.full(24, 0.25), PermutationConfig(exact_limit=0, samples=100))
+    p, _ = permutation_p(np.full(24, 0.25), PermutationConfig(samples=100))
     assert p == 1 / 101
 
 
-@pytest.mark.parametrize("fields", [{"samples": 0}, {"samples": -5}, {"exact_limit": -1}])
+def test_p_values_are_exact_up_to_20_scores():
+    rng = np.random.default_rng(20)
+    assert permutation_p(rng.normal(size=20))[1] == PValueMethod("exact", partitions=184_756)
+    assert permutation_p(rng.normal(size=22))[1] == PValueMethod("monte-carlo",
+                                                                 samples=100_000, seed=0)
+
+
+@pytest.mark.parametrize("fields", [{"samples": 0}, {"samples": -5}])
 def test_permutation_config_rejects_impossible_values(fields):
-    with pytest.raises(ValueError, match="samples|exact_limit"):
+    with pytest.raises(ValueError, match="samples"):
         PermutationConfig(**fields)
 
 
@@ -592,8 +610,8 @@ def test_exact_and_monte_carlo_agree(fixture_table, fixture_stimuli):
     x, y = fixture_stimuli["fixture.targets.x"], fixture_stimuli["fixture.targets.y"]
     a, b = fixture_stimuli["fixture.attributes.a"], fixture_stimuli["fixture.attributes.b"]
     exact = weat(x, y, a, b, fixture_table, PermutationConfig())
-    monte = weat(x, y, a, b, fixture_table,
-                 PermutationConfig(exact_limit=100, samples=100_000, seed=5))
+    with _sampling():
+        monte = weat(x, y, a, b, fixture_table, PermutationConfig(samples=100_000, seed=5))
     assert monte.p_method.kind == "monte-carlo"
     assert abs(exact.p_value - monte.p_value) <= 0.01
 
@@ -601,12 +619,12 @@ def test_exact_and_monte_carlo_agree(fixture_table, fixture_stimuli):
 def test_monte_carlo_p_deterministic_per_seed(fixture_table, fixture_stimuli):
     x, y = fixture_stimuli["fixture.targets.x"], fixture_stimuli["fixture.targets.y"]
     a, b = fixture_stimuli["fixture.attributes.a"], fixture_stimuli["fixture.attributes.b"]
-    config = PermutationConfig(exact_limit=100, samples=20_000, seed=9)
-    first = weat(x, y, a, b, fixture_table, config)
-    second = weat(x, y, a, b, fixture_table, config)
+    config = PermutationConfig(samples=20_000, seed=9)
+    with _sampling():
+        first = weat(x, y, a, b, fixture_table, config)
+        second = weat(x, y, a, b, fixture_table, config)
+        other = weat(x, y, a, b, fixture_table, PermutationConfig(samples=20_000, seed=10))
     assert first.p_value == second.p_value
-    other = weat(x, y, a, b, fixture_table,
-                 PermutationConfig(exact_limit=100, samples=20_000, seed=10))
     assert first.p_value != other.p_value
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ggsignal
+from ggsignal import association
 from ggsignal.cli import _default_stimuli_path, main
 from ggsignal.disentangler import load_stack
 from ggsignal.embeddings import EmbeddingTable, load_table, save_table
@@ -162,7 +163,7 @@ def test_weat_usage_error_exit_code(env):
 @pytest.mark.parametrize("extra, message", [
     (["synth", "--per-class", "5"], "per_class must be at least 16"),
     (["disentangle", "--stop-accuracy", "0.4"], "stop_accuracy must be in"),
-    (["disentangle", "--vocab-limit", "0"], "vocab_limit must be positive"),
+    (["disentangle", "--vocab-limit", "0"], "argument --vocab-limit: must be"),
     (["synth", "--dimension", "1"], "dimension must be at least 2"),
     (["synth", "--imbalance", "0"], "class_imbalance must be positive"),
     (["disentangle", "--per-class", "0"], "per_class must be positive"),
@@ -183,27 +184,26 @@ def test_rejected_option_values_are_usage_errors(env, tmp_path, capsys, extra, m
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--p-samples", "-5"), ("--p-samples", "0"), ("--exact-limit", "-1"),
-    ("--p-samples", "many")])
+    ("--p-samples", "-5"), ("--p-samples", "0"), ("--p-samples", "many")])
 def test_permutation_option_values_are_usage_errors_naming_the_flag(env, tmp_path, capsys,
                                                                     flag, value):
     report = tmp_path / "r.json"
     assert main(["weat", "--stimuli", str(env["stimuli"]),
                  "--targets-x", "syn.targets.f", "--targets-y", "syn.targets.m",
                  "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
-                 "--embeddings", str(env["table"]), "--exact-limit", "1",
-                 flag, value, "--report", str(report)]) == 1
+                 "--embeddings", str(env["table"]), flag, value, "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert "usage error:" in err and flag in err
     assert not report.exists()
 
 
-def test_smallest_permutation_option_values_run(env, tmp_path):
+def test_smallest_permutation_option_values_run(env, tmp_path, monkeypatch):
+    monkeypatch.setattr(association, "_EXACT_MAX_ITEMS", 0)
     report = tmp_path / "r.json"
     assert main(["weat", "--stimuli", str(env["stimuli"]),
                  "--targets-x", "syn.targets.f", "--targets-y", "syn.targets.m",
                  "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
-                 "--embeddings", str(env["table"]), "--exact-limit", "0",
+                 "--embeddings", str(env["table"]),
                  "--p-samples", "1", "--report", str(report)]) == 0
     result = read(report)["results"]["table"]
     assert result["p_method"] == {"kind": "monte-carlo", "samples": 1, "seed": 0}
@@ -429,13 +429,14 @@ def test_failed_run_writes_nothing(env, tmp_path):
     assert not report.exists()
 
 
-def test_report_argv_reproduces_identical_results(env, tmp_path):
+def test_report_argv_reproduces_identical_results(env, tmp_path, monkeypatch):
+    monkeypatch.setattr(association, "_EXACT_MAX_ITEMS", 0)
     first = tmp_path / "first.json"
     argv = ["weat", "--stimuli", str(env["stimuli"]),
             "--targets-x", "syn.targets.f", "--targets-y", "syn.targets.m",
             "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
             "--embeddings", str(env["table"]),
-            "--p-samples", "5000", "--exact-limit", "10",
+            "--p-samples", "5000",
             "--seed", "42", "--report", str(first)]
     assert main(argv) == 0
     report = read(first)
@@ -592,10 +593,32 @@ def test_report_inputs_are_the_files_named_on_the_command_line(files, tmp_path, 
     assert set(read(report)["inputs"]) == expected
 
 
-@pytest.mark.parametrize("flag", ["--p-samples", "--exact-limit"])
+@pytest.mark.parametrize("flag", ["--p-samples"])
 @pytest.mark.parametrize("command", ["valnorm", "sweep"])
 def test_permutation_flags_are_usage_errors_where_unread(files, tmp_path, command, flag):
     assert main([*COMMANDS[command](files, tmp_path), flag, "1000"]) == 1
+
+
+def test_exact_limit_is_not_an_option(files, tmp_path, capsys):
+    # The number of pooled scores alone decides exact or Monte Carlo p-values.
+    report = tmp_path / "r.json"
+    assert main([*COMMANDS["weat"](files, tmp_path), "--exact-limit", "5",
+                 "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "--exact-limit" in err
+    assert not report.exists()
+
+
+# disentangle's declaration is checked in test_rejected_option_values_are_usage_errors.
+@pytest.mark.parametrize("command", ["weat", "pairdist", "sweep", "pca-coords"])
+def test_vocab_limit_below_one_is_a_usage_error_naming_the_flag(files, tmp_path, capsys,
+                                                                 command):
+    report = tmp_path / "r.json"
+    assert main([*COMMANDS[command](files, tmp_path), "--vocab-limit", "0",
+                 "--report", str(report)]) == 1
+    assert "usage error: argument --vocab-limit: must be at least 1, got 0" in \
+        capsys.readouterr().err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [

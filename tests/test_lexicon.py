@@ -53,6 +53,14 @@ def test_gender_conflict_dropped(tmp_path):
     assert "casa" not in lex.masculine
 
 
+def test_lexicon_word_sets_leave_equality_and_hash_alone():
+    lex = GenderLexicon("it", ("luna", "casa"), ("sol",))
+    before = hash(lex)
+    assert [lex.gender_of(w) for w in ("casa", "sol", "cane")] == ["F", "M", None]
+    fresh = GenderLexicon("it", ("luna", "casa"), ("sol",))
+    assert lex == fresh and hash(lex) == before == hash(fresh)
+
+
 def test_unparseable_tag_errors(tmp_path):
     nouns = write(tmp_path, "n.tsv", "luna\tX\n")
     with pytest.raises(FormatError):
@@ -161,6 +169,13 @@ def test_valence_norms(tmp_path):
     assert [n.word for n in norms] == ["joy", "grief"]
     with pytest.raises(FormatError):
         load_valence_norms(write(tmp_path, "bad.tsv", "joy\tnan\n"))
+
+
+def test_valence_norms_reject_a_repeated_word(tmp_path):
+    # Loaded twice, the word would weigh twice in the correlation.
+    path = write(tmp_path, "v.tsv", "joy\t8.2\n# note\ngrief\t1.7\n\njoy\t8.4\n")
+    with pytest.raises(FormatError, match=r"v\.tsv:5: word 'joy' already rated on line 1$"):
+        load_valence_norms(path)
 
 
 def test_analogies_sections_and_shape(tmp_path):
