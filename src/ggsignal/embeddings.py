@@ -13,6 +13,7 @@ interrupted write never leaves a partial file under the final name.
 
 from __future__ import annotations
 
+import codecs
 import copy
 import logging
 import math
@@ -36,6 +37,19 @@ _SAVE_FORMAT = "%.6g"
 # time, which bounds the value text, the parsed floats and the squares held in
 # memory beside the table's one matrix.
 _BLOCK_ROWS = 1024
+
+# load_table reads its file a chunk of whole lines at a time, this many bytes
+# per field of a block's rows: about _BLOCK_ROWS / 2 lines of 8-byte values
+# (`-0.0123 `). A chunk's uint16 space counts take twice its bytes, so the
+# chunk and its counts hold about as much memory as a block of floats.
+_CHUNK_FIELD_BYTES = 4
+
+# Text-mode reading decodes this many bytes at a time (TextIOWrapper's
+# _CHUNK_SIZE), and returns no line from a piece that is not UTF-8.
+_TEXT_CHUNK = 8192
+
+# Bytes checked as UTF-8 per call, which bounds the decoded text held at once.
+_CHECK_BYTES = 1 << 16
 
 # loadtxt strips the information separators U+001C..U+001F around a number as
 # whitespace; float() does not, and a value carrying them is not a number of
@@ -206,7 +220,8 @@ def _parse_header(line: str, path: Path, min_count: int = 1) -> tuple[int, int]:
 
 @contextmanager
 def open_text(path):
-    """Read handle of a UTF-8 text file, for every reader of the package.
+    """Read handle of a UTF-8 text file, for every reader of the package but
+    `load_table`, whose `_LineReader` follows the same rules.
 
     A file that starts with a byte-order mark raises FormatError naming it,
     and so does a byte that is not UTF-8, with the line of the first one.
@@ -233,6 +248,161 @@ def _first_invalid_line(path) -> int:
                 return lineno + len((raw[:exc.start] + b"x").splitlines()) - 1
             lineno += len((raw + b"x").splitlines()) - 1
     return lineno
+
+
+def _text_end(path) -> int:
+    """Bytes of `path` that `open_text` returns as whole lines before it meets
+    a byte that is not UTF-8; -1 when it fails on its first read."""
+    end = 0
+    with open(path, encoding="utf-8", newline="") as handle:  # line ends kept
+        try:
+            handle.read(1)
+        except UnicodeDecodeError:
+            return -1
+        handle.seek(0)
+        with suppress(UnicodeDecodeError):
+            for line in handle:
+                end += len(line.encode("utf-8"))
+    return end
+
+
+class _LineReader:
+    """A file read in chunks of whole lines, each into the same buffer.
+
+    Lines end as text-mode reading ends them, at LF, CRLF or a lone CR, and
+    the last one may have no end. The reader checks the bytes as UTF-8 as it
+    reads them, and returns a line only once the bytes that text-mode
+    reading decodes with it are checked. A file that is not UTF-8 thus
+    yields the lines that `open_text` yields, and then a FormatError naming
+    the line of its first bad byte. A leading byte-order mark raises
+    FormatError where `open_text` raises it.
+    """
+
+    def __init__(self, handle, path):
+        self.buf = bytearray()
+        self._handle = handle
+        self._path = path
+        self._held = 0      # bytes of the file in buf
+        self._taken = 0     # bytes of buf returned as lines
+        self._checked = 0   # bytes of buf that are whole UTF-8 characters
+        self._offset = 0    # file offset of buf[0]
+        self._eof = False
+        self._stop = None   # file offset where `open_text` stops, once known
+        self._fill(_TEXT_CHUNK)
+        if self._stop != -1 and self.buf.startswith(codecs.BOM_UTF8, 0, self._held):
+            raise FormatError(f"{path}: starts with a byte-order mark")
+
+    def next(self, size: int) -> int:
+        """End of the next chunk, which starts at buf[0]: the whole lines in
+        its first `size` bytes, or one longer line. 0 once the file is read."""
+        buf = self.buf
+        rest = self._held - self._taken
+        buf[:rest] = buf[self._taken:self._held]
+        self._offset += self._taken
+        self._checked -= self._taken
+        self._held, self._taken = rest, 0
+        while True:
+            if self._stop is not None:
+                ready, final = self._stop - self._offset, True
+            elif self._eof:
+                ready, final = self._held, True
+            else:
+                # Text-mode reading returns a line once it has decoded the
+                # chunk holding its end and the character after it.
+                ready, final = self._checked - _TEXT_CHUNK - 3, False
+            if final and ready <= size or ready <= 0:
+                end = ready
+            else:
+                end = _lines_end(buf, min(ready, size))
+                if not end:  # a line longer than `size`
+                    lf = buf.find(b"\n", size, ready)
+                    end = lf + 1 if lf >= 0 else ready if final else _lines_end(buf, ready)
+            if end > 0:
+                self._taken = end
+                return end
+            if self._stop is not None:
+                raise FormatError(f"{self._path}:{_first_invalid_line(self._path)}: "
+                                  "invalid UTF-8")
+            if self._eof:
+                return 0
+            self._fill(size)
+
+    def _fill(self, size: int) -> None:
+        """Reads about `size` more bytes, or twice the buffer when it is full,
+        and checks them."""
+        buf = self.buf
+        room = max(size + 2 * _TEXT_CHUNK, 2 * len(buf) if self._held == len(buf) else 0)
+        if room > len(buf):
+            buf.extend(bytes(room - len(buf)))
+        got = self._handle.readinto(memoryview(buf)[self._held:])
+        self._held += got
+        self._eof = not got
+        pos = stop = self._checked
+        try:
+            while stop < self._held:
+                stop = min(pos + _CHECK_BYTES, self._held)
+                pos += codecs.utf_8_decode(memoryview(buf)[pos:stop], "strict", False)[1]
+        except UnicodeDecodeError:
+            self._stop = _text_end(self._path)
+            return
+        self._checked = pos
+        if self._eof and self._checked < self._held:
+            # A character cut short by the end of the file, or a bad last byte.
+            self._stop = _text_end(self._path)
+
+
+def _lines_end(buf: bytearray, end: int) -> int:
+    """Position after the last line end in buf[:end], 0 when there is none.
+    buf[end] is known, so a CR at end - 1 ends a line unless an LF follows."""
+    lf = buf.rfind(b"\n", 0, end)
+    cr = buf.rfind(b"\r", 0, end)
+    if cr == end - 1 > lf and buf[end] == 10:
+        cr = buf.rfind(b"\r", 0, cr)
+    return max(lf, cr) + 1
+
+
+def _regular_lines(buf: bytearray, start: int, end: int, dim: int) -> tuple[list, list]:
+    """Line ends in buf[start:end], each with whether its line is regular.
+
+    The ends are the positions of the LFs, then `end` when the last line has
+    none. A regular line is not blank, starts with no space, holds no CR and
+    no two spaces in a row, and has `dim` spaces besides one before its LF:
+    it is a word and `dim` single-space separated fields.
+    """
+    data = np.frombuffer(buf, np.uint8, end - start, start)
+    lf = np.flatnonzero(data == 10)
+    if not len(lf):  # one line without an LF, or none
+        return ([end], [False]) if end > start else ([], [])
+    starts = np.concatenate(([0], lf[:-1] + 1))
+    # Spaces are counted in uint16, which holds the count of a line shorter
+    # than 65536 bytes and needs no copy: a longer line is not regular.
+    spaces = np.equal(data[:lf[-1] + 1], 32, out=np.empty(lf[-1] + 1, np.uint16),
+                      casting="unsafe")
+    spaces = np.add.reduceat(spaces, starts, dtype=np.uint16)
+    regular = ((spaces == dim + (data[lf - 1] == 32)) & (data[starts] != 32)
+               & (lf > starts) & (lf - starts < 65536))
+    # Two spaces in a row are a uint16 0x2020 at an even or an odd offset.
+    irregular = [np.flatnonzero(data[i:i + (len(data) - i) // 2 * 2].view(np.uint16) == 0x2020)
+                 * 2 + i for i in (0, 1)]
+    if buf.find(b"\r", start, end) >= 0:
+        irregular.append(np.flatnonzero(data == 13))
+    lines = np.searchsorted(lf, np.concatenate(irregular))
+    regular[lines[lines < len(lf)]] = False
+    ends, flags = (lf + start).tolist(), regular.tolist()
+    if lf[-1] + 1 < len(data):
+        ends.append(end)
+        flags.append(False)
+    return ends, flags
+
+
+def _split_row(line: str) -> tuple[int, str, str]:
+    """Field count, word and single-space separated value text of a line
+    whose fields are separated by runs of spaces."""
+    line = line.strip(" ")
+    if "  " in line:
+        line = " ".join([t for t in line.split(" ") if t])
+    word, _, text = line.partition(" ")
+    return line.count(" ") + 1 if line else 0, word, text
 
 
 @contextmanager
@@ -278,12 +448,24 @@ def load_table(path, vocab_limit: int | None = None,
     and every required word are in, does not read the rest and cannot check
     it.
 
+    Reading: the file is read one bounded chunk of whole lines at a time,
+    about `_BLOCK_ROWS / 2` lines, into one reused buffer (`_LineReader`).
+    Each chunk is checked as UTF-8 once, and one numpy pass over it finds
+    its lines and the regular ones: a word and `dimension` fields, each
+    after a single space, with one more space allowed before the line end,
+    as fastText writes. A regular line costs a search for its word and one
+    lookup; only a kept row's values are decoded. Every other line (blank,
+    with a CR, a run of spaces, a leading space or a wrong field count) takes
+    the per-line rule above, so tables, messages, line numbers and the line
+    where a load stops are those of reading the file line by line in text
+    mode.
+
     Memory: the matrix is allocated once, for the fewest rows the header,
     `vocab_limit` plus the required words, and the file's size allow, and
     filled `_BLOCK_ROWS` kept rows at a time; the load peaks at about the
-    matrix's bytes plus one block of value text and floats. A header that
-    claims more rows than the file can hold allocates no more than the file
-    allows.
+    matrix's bytes plus one block of value text and floats plus one chunk
+    with its space counts. A header that claims more rows than the file can
+    hold allocates no more than the file allows.
     """
     path = Path(path)
     if vocab_limit is not None and vocab_limit <= 0:
@@ -302,11 +484,34 @@ def load_table(path, vocab_limit: int | None = None,
             texts.clear()
             linenos.clear()
 
-    with open_text(path) as handle:
-        header = handle.readline()
-        if not header:
+    def wanted(word: str) -> bool:
+        return word not in seen and (len(words) < limit or word in required)
+
+    def keep(word: str, text: str, lineno: int) -> bool:
+        """Keeps a row; True once every row the load wants is in."""
+        if len(words) == len(matrix):
+            # Kept rows never outnumber the file's rows or the limit plus
+            # the required words, so this row is past the header's count.
+            convert()
+            raise FormatError(f"{path}:{lineno}: header promises {count} rows, "
+                              f"file holds at least {count + 1}")
+        words.append(word)
+        seen.add(word)
+        pending.discard(word)
+        texts.append(text)
+        linenos.append(lineno)
+        if len(texts) == _BLOCK_ROWS:
+            convert()
+        return len(words) >= limit and not pending
+
+    with open(path, "rb") as handle:
+        reader = _LineReader(handle, path)
+        buf = reader.buf
+        end = reader.next(_BLOCK_ROWS * _CHUNK_FIELD_BYTES)
+        if not end:
             raise FormatError(f"{path}: empty file")
-        count, dim = _parse_header(header.rstrip("\r\n"), path)
+        header = buf[:end].splitlines(keepends=True)[0]
+        count, dim = _parse_header(header.decode().rstrip("\r\n"), path)
         # A data line takes dim + 1 fields of a byte or more, dim separators
         # and a line end (which the header's four or more bytes cover for a
         # last line without one), so the file holds at most this many rows.
@@ -314,42 +519,46 @@ def load_table(path, vocab_limit: int | None = None,
         capacity = min(count, limit + len(required), file_rows)
         # A file with no room for a row may claim a dimension no array can have.
         matrix = np.empty((capacity, dim if capacity else 0))
+        chunk = _BLOCK_ROWS * _CHUNK_FIELD_BYTES * (dim + 1)
         rows = 0
-        for lineno, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            rows += 1
-            line = line.strip(" ")
-            if "  " in line:
-                line = " ".join([t for t in line.split(" ") if t])
-            fields = line.count(" ") + 1 if line else 0
-            if fields != dim + 1:
-                convert()  # an earlier bad value is reported first
-                raise FormatError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {fields}")
-            word = line[:line.index(" ")]
-            if word in seen or (len(words) >= limit and word not in required):
-                continue
-            if len(words) == len(matrix):
-                # Kept rows never outnumber the file's rows or the limit plus
-                # the required words, so this row is past the header's count.
-                convert()
-                raise FormatError(f"{path}:{lineno}: header promises {count} rows, "
-                                  f"file holds at least {count + 1}")
-            words.append(word)
-            seen.add(word)
-            pending.discard(word)
-            texts.append(line[len(word) + 1:])
-            linenos.append(lineno)
-            if len(texts) == _BLOCK_ROWS:
-                convert()
-            if len(words) >= limit and not pending:
-                break
-        else:
-            if rows != count:
-                raise FormatError(f"{path}: header promises {count} rows, "
-                                  f"file holds {rows}")
+        lineno = 1
+        pos = len(header)
+        done = False
+        while end and not done:
+            for stop, regular in zip(*_regular_lines(buf, pos, end, dim)):
+                if regular:
+                    lineno += 1
+                    rows += 1
+                    space = buf.find(b" ", pos, stop)
+                    word = buf[pos:space].decode()
+                    # fastText writes a space before each line end.
+                    done = wanted(word) and keep(
+                        word, buf[space + 1:stop - (buf[stop - 1] == 32)].decode(), lineno)
+                else:
+                    # Blank, irregular and malformed lines take the per-line rule.
+                    for raw in buf[pos:min(stop + 1, end)].splitlines():
+                        lineno += 1
+                        if not raw:
+                            continue
+                        rows += 1
+                        fields, word, text = _split_row(raw.decode())
+                        if fields != dim + 1:
+                            convert()  # an earlier bad value is reported first
+                            raise FormatError(
+                                f"{path}:{lineno}: expected {dim + 1} fields, got {fields}")
+                        done = wanted(word) and keep(word, text, lineno)
+                        if done:
+                            break
+                if done:
+                    break
+                pos = stop + 1
+            if not done:
+                end = reader.next(chunk)
+                pos = 0
+        if not done and rows != count:
+            raise FormatError(f"{path}: header promises {count} rows, "
+                              f"file holds {rows}")
+    del reader, buf  # the chunk buffer goes before the last block is parsed
     convert()
     matrix.resize((len(words), dim), refcheck=False)
     missing = tuple(sorted(pending))
@@ -368,7 +577,8 @@ def _parse_values(texts: list[str], dim: int) -> np.ndarray:
     Raises ValueError naming what is wrong when any row is not `dim` finite
     numbers.
     """
-    if any(ch in text for text in texts for ch in _SEPARATORS):
+    # One scan of the block's joined text, which is freed before loadtxt runs.
+    if any(map("".join(texts).__contains__, _SEPARATORS)):
         raise ValueError("non-numeric value")
     try:
         rows = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)

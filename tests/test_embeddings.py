@@ -378,6 +378,142 @@ def test_block_boundaries_match_reference(tmp_path, monkeypatch):
         load_table(path)
 
 
+def _assert_loads_like_reference(path, vocab_limit=None, required_words=None):
+    """load_table gives reference_load's table bit for bit, or its message;
+    text-mode reading's UnicodeDecodeError is load_table's invalid UTF-8."""
+    kwargs = {"vocab_limit": vocab_limit, "required_words": required_words}
+    try:
+        expected = _outcome(reference_load, path, **kwargs)
+    except UnicodeDecodeError:
+        expected = f"{path}:{embeddings._first_invalid_line(path)}: invalid UTF-8"
+    actual = _outcome(load_table, path, **kwargs)
+    if isinstance(expected, str):
+        assert actual == expected
+        return
+    assert not isinstance(actual, str), actual
+    assert actual.words == expected.words
+    assert actual.missing_required == expected.missing_required
+    assert np.array_equal(actual.matrix.view(np.int64), expected.matrix.view(np.int64))
+
+
+def _fasttext_lines(rows: int, dim: int) -> list[str]:
+    """Lines as fastText writes them: UTF-8 words and a space before the end."""
+    rng = np.random.default_rng(rows)
+    stems = ["köln", "straße", "żółw", "中文", "ñandú", "word"]
+    return [f"{stems[i % len(stems)]}{i} " + " ".join(f"{v:.4f}" for v in rng.normal(size=dim))
+            + " " for i in range(rows)]
+
+
+@pytest.mark.parametrize("block_rows", [3, 1])
+@pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no-final-newline"])
+def test_chunk_edges_match_reference(tmp_path, monkeypatch, block_rows, final_newline):
+    # Chunks of a few lines, then of less than one, so lines straddle their edges.
+    monkeypatch.setattr(embeddings, "_BLOCK_ROWS", block_rows)
+    path = tmp_path / "t.vec"
+    text = "40 6\n" + "\n".join(_fasttext_lines(40, 6)) + ("\n" if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+    for limit, required in ((None, None), (5, ["中文33", "ghost"]), (2, None), (39, None)):
+        _assert_loads_like_reference(path, limit, required)
+
+
+LATE = 350  # index of the irregular line among 400, some chunks in
+
+
+def _with_irregular_line(kind: str) -> bytes:
+    lines = [line.encode("utf-8") for line in _fasttext_lines(400, 8)]
+    ends = [b"\n"] * len(lines)
+    if kind == "run of spaces":
+        lines[LATE] = lines[LATE].replace(b" ", b"   ", 3)
+    elif kind == "run of spaces, one value short":  # as many spaces as a whole line
+        lines[LATE] = lines[LATE].replace(b" ", b"  ", 1).rsplit(b" ", 2)[0] + b" "
+    elif kind == "lone CR":
+        ends[LATE] = b"\r"
+    elif kind == "blank line":
+        ends[LATE] = b"\n\n"
+    elif kind == "invalid UTF-8":
+        lines[LATE] = b"\xff" + lines[LATE]
+    else:
+        lines[LATE] = lines[LATE].rsplit(b" ", 2)[0]  # one value short
+    return b"400 8\n" + b"".join(line + end for line, end in zip(lines, ends))
+
+
+@pytest.mark.parametrize("kind", ["run of spaces", "run of spaces, one value short", "lone CR",
+                                  "blank line", "invalid UTF-8", "wrong field count"])
+def test_irregular_line_in_a_late_chunk_matches_reference(tmp_path, monkeypatch, kind):
+    monkeypatch.setattr(embeddings, "_BLOCK_ROWS", 16)
+    path = tmp_path / "t.vec"
+    path.write_bytes(_with_irregular_line(kind))
+    assert path.stat().st_size > 3 * embeddings._TEXT_CHUNK
+    for limit, required in ((None, None), (10, [f"word{LATE + 5}"]), (10, None),
+                            (LATE - 2, None)):
+        _assert_loads_like_reference(path, limit, required)
+
+
+def test_load_that_stops_before_a_bad_byte_fails_as_text_reading_does(tmp_path):
+    # Text-mode reading decodes _TEXT_CHUNK bytes at a time, so a load that
+    # stops before a bad byte fails when the byte shares a piece with the
+    # last line read, and loads when it lies in a later piece.
+    lines = [line.encode("utf-8") + b"\n" for line in _fasttext_lines(400, 8)]
+    starts = np.cumsum([len(b"400 8\n")] + [len(line) for line in lines])
+    limit = 200  # the load reads lines[:limit]
+    piece_end = starts[limit] // embeddings._TEXT_CHUNK * embeddings._TEXT_CHUNK \
+        + embeddings._TEXT_CHUNK
+    later = int(np.searchsorted(starts, piece_end))
+    assert starts[limit] < piece_end < starts[later] and later < len(lines)
+    for bad, loads in ((limit, False), (later, True)):
+        path = tmp_path / f"bad{bad}.vec"
+        path.write_bytes(b"400 8\n" + b"".join(
+            (b"\xff" if i == bad else b"") + line for i, line in enumerate(lines)))
+        _assert_loads_like_reference(path, limit)
+        assert isinstance(_outcome(load_table, path, vocab_limit=limit), str) is not loads
+
+
+class _Trickle:
+    """A binary handle that reads at most `most` bytes at a time."""
+
+    def __init__(self, data: bytes, most: int):
+        self.data, self.most, self.pos = data, most, 0
+
+    def readinto(self, view) -> int:
+        n = min(len(view), self.most, len(self.data) - self.pos)
+        view[:n] = self.data[self.pos:self.pos + n]
+        self.pos += n
+        return n
+
+
+@pytest.mark.parametrize("most", [97, 4096])
+def test_line_reader_returns_only_the_lines_text_reading_returns(tmp_path, most):
+    # However the bytes arrive, no line is returned that text-mode reading,
+    # which fails on the whole chunk holding the bad byte, does not return.
+    lines = [line.encode("utf-8") + b"\n" for line in _fasttext_lines(400, 8)]
+    lines[300] = b"\xff" + lines[300]
+    path = tmp_path / "t.vec"
+    path.write_bytes(b"400 8\n" + b"".join(lines))
+    reader = embeddings._LineReader(_Trickle(path.read_bytes(), most), path)
+    returned = 0
+    with pytest.raises(FormatError, match=r"t.vec:302: invalid UTF-8$"):
+        while end := reader.next(200):
+            returned += end
+    assert returned == embeddings._text_end(path)
+
+
+def test_crlf_split_by_a_chunk_edge_is_one_line_end(tmp_path, monkeypatch):
+    path = tmp_path / "t.vec"
+    path.write_bytes(b"9 2\r\n" + b"".join(b"w%d 1.5 -2.5\r\n" % i for i in range(8))
+                     + b"w8 1.5 zebra\r\n")
+    for block_rows in range(1, 12):
+        monkeypatch.setattr(embeddings, "_BLOCK_ROWS", block_rows)
+        with pytest.raises(FormatError, match=r"t.vec:10: non-numeric value$"):
+            load_table(path)
+
+
+def test_text_chunk_is_what_text_mode_reading_decodes_at_a_time(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("x\n", encoding="utf-8")
+    with embeddings.open_text(path) as handle:
+        assert handle._CHUNK_SIZE == embeddings._TEXT_CHUNK
+
+
 def test_resolve_keeps_order_and_names_every_unusable_word(caplog):
     table = EmbeddingTable(["a", "z1", "b", "z2", "c"],
                            [[1.0, 0.0], [0.0, 0.0], [0.0, 2.0], [1e-170, 1e-170], [3.0, 4.0]])
