@@ -40,7 +40,7 @@ VOCAB_LIMIT = 3000
 BLOCK = 4096
 
 
-def write_table(path: Path, rows: int, fasttext: bool, seed: int) -> list[str]:
+def write_table(path: Path, rows: int, fasttext: bool) -> list[str]:
     """Writes the table and returns its nouns, in file order."""
     nouns = min(NOUNS, rows // 2)
     noun_at = set(((np.arange(nouns) * rows) // nouns + rows // nouns - 1).tolist())
@@ -49,7 +49,7 @@ def write_table(path: Path, rows: int, fasttext: bool, seed: int) -> list[str]:
     nouns_left = iter(words)
     end = " \n" if fasttext else "\n"
     row_format = " ".join(["%.4f"] * DIMENSION)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{rows} {DIMENSION}\n")
         for start in range(0, rows, BLOCK):
@@ -72,13 +72,12 @@ def main() -> int:
     parser.add_argument("--rows", type=int, default=200_000)
     parser.add_argument("--fasttext", action="store_true",
                         help="end every line with a space, as fastText does")
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
     if args.rows < 2:
         parser.error("--rows must be at least 2")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "table.vec")
-        nouns = write_table(path, args.rows, args.fasttext, args.seed)
+        nouns = write_table(path, args.rows, args.fasttext)
         print(f"table: {args.rows} x {DIMENSION}, {path.stat().st_size} bytes, "
               f"{len(nouns)} nouns to the last row, fasttext={args.fasttext}")
         seconds, table = timed(lambda: load_table(path, vocab_limit=1,

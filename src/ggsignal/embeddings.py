@@ -44,10 +44,6 @@ _BLOCK_ROWS = 1024
 # chunk and its counts hold about as much memory as a block of floats.
 _CHUNK_FIELD_BYTES = 4
 
-# Text-mode reading decodes this many bytes at a time (TextIOWrapper's
-# _CHUNK_SIZE), and returns no line from a piece that is not UTF-8.
-_TEXT_CHUNK = 8192
-
 # Bytes checked as UTF-8 per call, which bounds the decoded text held at once.
 _CHECK_BYTES = 1 << 16
 
@@ -221,7 +217,7 @@ def _parse_header(line: str, path: Path, min_count: int = 1) -> tuple[int, int]:
 @contextmanager
 def open_text(path):
     """Read handle of a UTF-8 text file, for every reader of the package but
-    `load_table`, whose `_LineReader` follows the same rules.
+    `load_table`, which follows the same rules.
 
     A file that starts with a byte-order mark raises FormatError naming it,
     and so does a byte that is not UTF-8, with the line of the first one.
@@ -233,7 +229,11 @@ def open_text(path):
             handle.seek(0)
             yield handle
     except UnicodeDecodeError:
-        raise FormatError(f"{path}:{_first_invalid_line(path)}: invalid UTF-8") from None
+        raise _invalid_utf8(path) from None
+
+
+def _invalid_utf8(path) -> FormatError:
+    return FormatError(f"{path}:{_first_invalid_line(path)}: invalid UTF-8")
 
 
 def _first_invalid_line(path) -> int:
@@ -250,32 +250,14 @@ def _first_invalid_line(path) -> int:
     return lineno
 
 
-def _text_end(path) -> int:
-    """Bytes of `path` that `open_text` returns as whole lines before it meets
-    a byte that is not UTF-8; -1 when it fails on its first read."""
-    end = 0
-    with open(path, encoding="utf-8", newline="") as handle:  # line ends kept
-        try:
-            handle.read(1)
-        except UnicodeDecodeError:
-            return -1
-        handle.seek(0)
-        with suppress(UnicodeDecodeError):
-            for line in handle:
-                end += len(line.encode("utf-8"))
-    return end
-
-
 class _LineReader:
     """A file read in chunks of whole lines, each into the same buffer.
 
     Lines end as text-mode reading ends them, at LF, CRLF or a lone CR, and
     the last one may have no end. The reader checks the bytes as UTF-8 as it
-    reads them, and returns a line only once the bytes that text-mode
-    reading decodes with it are checked. A file that is not UTF-8 thus
-    yields the lines that `open_text` yields, and then a FormatError naming
-    the line of its first bad byte. A leading byte-order mark raises
-    FormatError where `open_text` raises it.
+    reads them: a byte that is not UTF-8 anywhere in what it has read, or a
+    character cut short by the end of the file, raises FormatError naming
+    the line of the file's first bad byte.
     """
 
     def __init__(self, handle, path):
@@ -285,12 +267,7 @@ class _LineReader:
         self._held = 0      # bytes of the file in buf
         self._taken = 0     # bytes of buf returned as lines
         self._checked = 0   # bytes of buf that are whole UTF-8 characters
-        self._offset = 0    # file offset of buf[0]
         self._eof = False
-        self._stop = None   # file offset where `open_text` stops, once known
-        self._fill(_TEXT_CHUNK)
-        if self._stop != -1 and self.buf.startswith(codecs.BOM_UTF8, 0, self._held):
-            raise FormatError(f"{path}: starts with a byte-order mark")
 
     def next(self, size: int) -> int:
         """End of the next chunk, which starts at buf[0]: the whole lines in
@@ -298,40 +275,31 @@ class _LineReader:
         buf = self.buf
         rest = self._held - self._taken
         buf[:rest] = buf[self._taken:self._held]
-        self._offset += self._taken
         self._checked -= self._taken
         self._held, self._taken = rest, 0
         while True:
-            if self._stop is not None:
-                ready, final = self._stop - self._offset, True
-            elif self._eof:
-                ready, final = self._held, True
-            else:
-                # Text-mode reading returns a line once it has decoded the
-                # chunk holding its end and the character after it.
-                ready, final = self._checked - _TEXT_CHUNK - 3, False
-            if final and ready <= size or ready <= 0:
+            # A line may end at the last byte read only at the end of the
+            # file: a CR there may be the first half of a CRLF.
+            ready = self._held if self._eof else self._held - 1
+            if self._eof and ready <= size or ready <= 0:
                 end = ready
             else:
                 end = _lines_end(buf, min(ready, size))
                 if not end:  # a line longer than `size`
                     lf = buf.find(b"\n", size, ready)
-                    end = lf + 1 if lf >= 0 else ready if final else _lines_end(buf, ready)
+                    end = lf + 1 if lf >= 0 else ready if self._eof else _lines_end(buf, ready)
             if end > 0:
                 self._taken = end
                 return end
-            if self._stop is not None:
-                raise FormatError(f"{self._path}:{_first_invalid_line(self._path)}: "
-                                  "invalid UTF-8")
             if self._eof:
                 return 0
             self._fill(size)
 
     def _fill(self, size: int) -> None:
-        """Reads about `size` more bytes, or twice the buffer when it is full,
-        and checks them."""
+        """Fills the buffer, made `size` + 1 bytes or twice as long when it
+        is full, and checks the bytes read."""
         buf = self.buf
-        room = max(size + 2 * _TEXT_CHUNK, 2 * len(buf) if self._held == len(buf) else 0)
+        room = max(size + 1, 2 * len(buf) if self._held == len(buf) else 0)
         if room > len(buf):
             buf.extend(bytes(room - len(buf)))
         got = self._handle.readinto(memoryview(buf)[self._held:])
@@ -343,12 +311,10 @@ class _LineReader:
                 stop = min(pos + _CHECK_BYTES, self._held)
                 pos += codecs.utf_8_decode(memoryview(buf)[pos:stop], "strict", False)[1]
         except UnicodeDecodeError:
-            self._stop = _text_end(self._path)
-            return
+            raise _invalid_utf8(self._path) from None
         self._checked = pos
         if self._eof and self._checked < self._held:
-            # A character cut short by the end of the file, or a bad last byte.
-            self._stop = _text_end(self._path)
+            raise _invalid_utf8(self._path)
 
 
 def _lines_end(buf: bytearray, end: int) -> int:
@@ -365,34 +331,39 @@ def _regular_lines(buf: bytearray, start: int, end: int, dim: int) -> tuple[list
     """Line ends in buf[start:end], each with whether its line is regular.
 
     The ends are the positions of the LFs, then `end` when the last line has
-    none. A regular line is not blank, starts with no space, holds no CR and
-    no two spaces in a row, and has `dim` spaces besides one before its LF:
-    it is a word and `dim` single-space separated fields.
+    none. A regular line is not blank, starts with no space, holds no CR but
+    one right before its LF and no two spaces in a row, and has `dim` spaces
+    besides one before its line end: it is a word and `dim` single-space
+    separated fields.
     """
     data = np.frombuffer(buf, np.uint8, end - start, start)
     lf = np.flatnonzero(data == 10)
-    if not len(lf):  # one line without an LF, or none
-        return ([end], [False]) if end > start else ([], [])
+    ends = (lf + start).tolist()
+    if end > start and buf[end - 1] != 10:  # a last line without an LF
+        ends.append(end)
+    # No line below the 65536-byte cap has 65535 spaces, so with so many
+    # fields every line is irregular.
+    if not len(lf) or dim >= 65535:
+        return ends, [False] * len(ends)
     starts = np.concatenate(([0], lf[:-1] + 1))
     # Spaces are counted in uint16, which holds the count of a line shorter
     # than 65536 bytes and needs no copy: a longer line is not regular.
     spaces = np.equal(data[:lf[-1] + 1], 32, out=np.empty(lf[-1] + 1, np.uint16),
                       casting="unsafe")
     spaces = np.add.reduceat(spaces, starts, dtype=np.uint16)
-    regular = ((spaces == dim + (data[lf - 1] == 32)) & (data[starts] != 32)
-               & (lf > starts) & (lf - starts < 65536))
     # Two spaces in a row are a uint16 0x2020 at an even or an odd offset.
     irregular = [np.flatnonzero(data[i:i + (len(data) - i) // 2 * 2].view(np.uint16) == 0x2020)
                  * 2 + i for i in (0, 1)]
+    last = lf  # where each line's fields end: its LF, or the CR of a CRLF
     if buf.find(b"\r", start, end) >= 0:
-        irregular.append(np.flatnonzero(data == 13))
+        last = lf - (data[lf - 1] == 13)
+        cr = np.flatnonzero(data == 13)
+        irregular.append(cr[data[np.minimum(cr + 1, len(data) - 1)] != 10])  # lone CRs
+    regular = ((spaces == dim + (data[last - 1] == 32)) & (data[starts] != 32)
+               & (last > starts) & (lf - starts < 65536))
     lines = np.searchsorted(lf, np.concatenate(irregular))
     regular[lines[lines < len(lf)]] = False
-    ends, flags = (lf + start).tolist(), regular.tolist()
-    if lf[-1] + 1 < len(data):
-        ends.append(end)
-        flags.append(False)
-    return ends, flags
+    return ends, regular.tolist() + [False] * (len(ends) - len(lf))
 
 
 def _split_row(line: str) -> tuple[int, str, str]:
@@ -453,12 +424,14 @@ def load_table(path, vocab_limit: int | None = None,
     Each chunk is checked as UTF-8 once, and one numpy pass over it finds
     its lines and the regular ones: a word and `dimension` fields, each
     after a single space, with one more space allowed before the line end,
-    as fastText writes. A regular line costs a search for its word and one
-    lookup; only a kept row's values are decoded. Every other line (blank,
-    with a CR, a run of spaces, a leading space or a wrong field count) takes
-    the per-line rule above, so tables, messages, line numbers and the line
-    where a load stops are those of reading the file line by line in text
-    mode.
+    as fastText writes, and an LF or CRLF end. A regular line costs a search
+    for its word and one lookup; only a kept row's values are decoded. Every
+    other line (blank, with a lone CR, a run of spaces, a leading space or a
+    wrong field count) takes the per-line rule above, so tables, messages,
+    line numbers and the line where a load stops are those of reading the
+    file line by line in text mode. One exception: a byte that is not UTF-8 fails the load as soon as
+    the chunk holding it is read, past the line where the load would stop
+    and before a malformed line earlier in the chunk.
 
     Memory: the matrix is allocated once, for the fewest rows the header,
     `vocab_limit` plus the required words, and the file's size allow, and
@@ -510,16 +483,21 @@ def load_table(path, vocab_limit: int | None = None,
         end = reader.next(_BLOCK_ROWS * _CHUNK_FIELD_BYTES)
         if not end:
             raise FormatError(f"{path}: empty file")
+        if buf.startswith(codecs.BOM_UTF8, 0, end):
+            raise FormatError(f"{path}: starts with a byte-order mark")
         header = buf[:end].splitlines(keepends=True)[0]
         count, dim = _parse_header(header.decode().rstrip("\r\n"), path)
         # A data line takes dim + 1 fields of a byte or more, dim separators
         # and a line end (which the header's four or more bytes cover for a
         # last line without one), so the file holds at most this many rows.
-        file_rows = os.fstat(handle.fileno()).st_size // (2 * (dim + 1))
+        size = os.fstat(handle.fileno()).st_size
+        file_rows = size // (2 * (dim + 1))
         capacity = min(count, limit + len(required), file_rows)
         # A file with no room for a row may claim a dimension no array can have.
         matrix = np.empty((capacity, dim if capacity else 0))
-        chunk = _BLOCK_ROWS * _CHUNK_FIELD_BYTES * (dim + 1)
+        # No line of 65535 fields or more is regular (`_regular_lines`), so
+        # chunks are sized for at most that many; none outgrows the file.
+        chunk = min(_BLOCK_ROWS * _CHUNK_FIELD_BYTES * (min(dim, 65535) + 1), size)
         rows = 0
         lineno = 1
         pos = len(header)
@@ -531,12 +509,15 @@ def load_table(path, vocab_limit: int | None = None,
                     rows += 1
                     space = buf.find(b" ", pos, stop)
                     word = buf[pos:space].decode()
-                    # fastText writes a space before each line end.
-                    done = wanted(word) and keep(
-                        word, buf[space + 1:stop - (buf[stop - 1] == 32)].decode(), lineno)
+                    if wanted(word):
+                        last = stop - (buf[stop - 1] == 13)  # the CR of a CRLF
+                        last -= buf[last - 1] == 32  # fastText ends lines with a space
+                        done = keep(word, buf[space + 1:last].decode(), lineno)
                 else:
-                    # Blank, irregular and malformed lines take the per-line rule.
-                    for raw in buf[pos:min(stop + 1, end)].splitlines():
+                    # Blank, irregular and malformed lines take the per-line
+                    # rule; lone CRs split the text before an LF into lines.
+                    line = buf[pos:stop]
+                    for raw in line.splitlines() if b"\r" in line else (line,):
                         lineno += 1
                         if not raw:
                             continue

@@ -406,14 +406,23 @@ def _fasttext_lines(rows: int, dim: int) -> list[str]:
 
 @pytest.mark.parametrize("block_rows", [3, 1])
 @pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no-final-newline"])
-def test_chunk_edges_match_reference(tmp_path, monkeypatch, block_rows, final_newline):
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_chunk_edges_match_reference(tmp_path, monkeypatch, block_rows, final_newline, newline):
     # Chunks of a few lines, then of less than one, so lines straddle their edges.
     monkeypatch.setattr(embeddings, "_BLOCK_ROWS", block_rows)
     path = tmp_path / "t.vec"
-    text = "40 6\n" + "\n".join(_fasttext_lines(40, 6)) + ("\n" if final_newline else "")
+    text = ("40 6" + newline + newline.join(_fasttext_lines(40, 6))
+            + (newline if final_newline else ""))
     path.write_bytes(text.encode("utf-8"))
     for limit, required in ((None, None), (5, ["中文33", "ghost"]), (2, None), (39, None)):
         _assert_loads_like_reference(path, limit, required)
+
+
+def test_crlf_lines_are_regular_and_lone_crs_are_not():
+    buf = bytearray(b"a 1 2\r\nb 3 4 \r\nc 5\r6\nd 7 8\r\r\n\r\ne 9 0\n")
+    ends, flags = embeddings._regular_lines(buf, 0, len(buf), 2)
+    assert ends == [6, 14, 20, 28, 30, 36]
+    assert flags == [True, True, False, False, False, True]
 
 
 LATE = 350  # index of the irregular line among 400, some chunks in
@@ -443,29 +452,31 @@ def test_irregular_line_in_a_late_chunk_matches_reference(tmp_path, monkeypatch,
     monkeypatch.setattr(embeddings, "_BLOCK_ROWS", 16)
     path = tmp_path / "t.vec"
     path.write_bytes(_with_irregular_line(kind))
-    assert path.stat().st_size > 3 * embeddings._TEXT_CHUNK
-    for limit, required in ((None, None), (10, [f"word{LATE + 5}"]), (10, None),
-                            (LATE - 2, None)):
+    assert path.stat().st_size > 30 * embeddings._BLOCK_ROWS * embeddings._CHUNK_FIELD_BYTES * 9
+    cases = [(None, None), (10, [f"word{LATE + 5}"]), (10, None)]
+    if kind != "invalid UTF-8":  # a load that stops just before a bad byte may have read it
+        cases.append((LATE - 2, None))
+    for limit, required in cases:
         _assert_loads_like_reference(path, limit, required)
 
 
-def test_load_that_stops_before_a_bad_byte_fails_as_text_reading_does(tmp_path):
-    # Text-mode reading decodes _TEXT_CHUNK bytes at a time, so a load that
-    # stops before a bad byte fails when the byte shares a piece with the
-    # last line read, and loads when it lies in a later piece.
+def test_load_that_stops_early_fails_on_a_bad_byte_it_has_read(tmp_path, monkeypatch):
+    # The reader reads at least the first byte after the last line a load
+    # takes, and about one chunk of lines (576 bytes here) at most.
+    monkeypatch.setattr(embeddings, "_BLOCK_ROWS", 16)
     lines = [line.encode("utf-8") + b"\n" for line in _fasttext_lines(400, 8)]
-    starts = np.cumsum([len(b"400 8\n")] + [len(line) for line in lines])
-    limit = 200  # the load reads lines[:limit]
-    piece_end = starts[limit] // embeddings._TEXT_CHUNK * embeddings._TEXT_CHUNK \
-        + embeddings._TEXT_CHUNK
-    later = int(np.searchsorted(starts, piece_end))
-    assert starts[limit] < piece_end < starts[later] and later < len(lines)
-    for bad, loads in ((limit, False), (later, True)):
+    limit = 200  # the load takes lines[:limit]
+    clean = tmp_path / "clean.vec"
+    clean.write_bytes(b"400 8\n" + b"".join(lines))
+    for bad, loads in ((limit, False), (limit + 100, True)):
         path = tmp_path / f"bad{bad}.vec"
         path.write_bytes(b"400 8\n" + b"".join(
             (b"\xff" if i == bad else b"") + line for i, line in enumerate(lines)))
-        _assert_loads_like_reference(path, limit)
-        assert isinstance(_outcome(load_table, path, vocab_limit=limit), str) is not loads
+        outcome = _outcome(load_table, path, vocab_limit=limit)
+        if loads:
+            assert outcome.words == load_table(clean, vocab_limit=limit).words
+        else:
+            assert outcome == f"{path}:{bad + 2}: invalid UTF-8"
 
 
 class _Trickle:
@@ -482,9 +493,7 @@ class _Trickle:
 
 
 @pytest.mark.parametrize("most", [97, 4096])
-def test_line_reader_returns_only_the_lines_text_reading_returns(tmp_path, most):
-    # However the bytes arrive, no line is returned that text-mode reading,
-    # which fails on the whole chunk holding the bad byte, does not return.
+def test_line_reader_fails_on_a_bad_byte_however_the_bytes_arrive(tmp_path, most):
     lines = [line.encode("utf-8") + b"\n" for line in _fasttext_lines(400, 8)]
     lines[300] = b"\xff" + lines[300]
     path = tmp_path / "t.vec"
@@ -494,7 +503,7 @@ def test_line_reader_returns_only_the_lines_text_reading_returns(tmp_path, most)
     with pytest.raises(FormatError, match=r"t.vec:302: invalid UTF-8$"):
         while end := reader.next(200):
             returned += end
-    assert returned == embeddings._text_end(path)
+    assert 0 < returned <= len(b"400 8\n" + b"".join(lines[:300]))
 
 
 def test_crlf_split_by_a_chunk_edge_is_one_line_end(tmp_path, monkeypatch):
@@ -507,11 +516,15 @@ def test_crlf_split_by_a_chunk_edge_is_one_line_end(tmp_path, monkeypatch):
             load_table(path)
 
 
-def test_text_chunk_is_what_text_mode_reading_decodes_at_a_time(tmp_path):
-    path = tmp_path / "t.txt"
-    path.write_text("x\n", encoding="utf-8")
-    with embeddings.open_text(path) as handle:
-        assert handle._CHUNK_SIZE == embeddings._TEXT_CHUNK
+@pytest.mark.parametrize("content", [
+    b"2 10000000000000000000\na 1\nb 2\n",  # past int64
+    b"2 1000000000000000\na " + b"1 " * 10_000 + b"\nb 2\n",  # first line past 16 KiB
+    b"2 70000\na " + b"0 " * 70_000 + b"\nb" + b" 1" * 70_000,  # lines too long to be regular
+], ids=["dimension-past-int64", "long-first-line", "loads"])
+def test_huge_dimension_matches_reference(tmp_path, content):
+    path = tmp_path / "t.vec"
+    path.write_bytes(content)
+    _assert_loads_like_reference(path)
 
 
 def test_resolve_keeps_order_and_names_every_unusable_word(caplog):
@@ -720,6 +733,7 @@ def _bad_byte_files():
         "table-lone-cr": (load_table, b"3 2\ra 1 0\rb 0 1\rc 1\xc3\r", 4),
         "table-past-first-chunk": (load_table, long_table.encode("latin-1"), 2002),
         "table-truncated-sequence": (load_table, b"1 1\n\xc3", 2),
+        "table-after-a-malformed-line": (load_table, b"3 2\na 1\nb 0 1\nc\xff 1 1\n", 4),
         "stack": (load_stack, b"2 2\n1 0\n0 1\x80\n", 3),
         "pairs": (load_similarity_pairs, b"a\tb\t1\nc\td\xff\t2\n", 2),
     }
