@@ -48,7 +48,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.regularization_strength <= 0:
+        if not self.regularization_strength > 0:
             raise ValueError("regularization_strength must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be a positive integer")

@@ -3,13 +3,14 @@
 Every subcommand handler loads its inputs, writes any side outputs (tables,
 stacks, CSV files) and returns its result payload; `main` then writes one
 JSON report that echoes the full configuration, the seed, and a digest of
-every input file named by a flag in INPUT_FLAGS, so any run can be
-reproduced from its own report. The report goes to --report when given, to
-stdout otherwise; exit status is 0 exactly when the full report was written.
+every input file, so any run can be reproduced from its own report. The
+report goes to --report when given, to stdout otherwise; exit status is 0
+exactly when the full report was written.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
-Relative input paths are also tried under $GGSIGNAL_DATA when they do not
-exist in the working directory.
+Every flag that names an input file has the type `_input`: a relative path
+missing from the working directory is also tried under $GGSIGNAL_DATA, and
+the report echoes and digests the path as resolved.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -70,6 +72,28 @@ def _at_least(minimum: int) -> Callable[[str], int]:
     return integer
 
 
+def _finite(text: str) -> float:
+    """Argument type: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _input(text: str) -> Path:
+    """Argument type of a flag that names a file the command reads: the
+    path, or the relative path under $GGSIGNAL_DATA when only that exists."""
+    path = Path(text)
+    if not path.exists() and not path.is_absolute():
+        base = os.environ.get(ENV_DATA_DIR)
+        if base and (Path(base) / path).exists():
+            return Path(base) / path
+    return path
+
+
 def _config(factory: Callable, **fields):
     """`factory(**fields)`; a field value the configuration rejects is a usage
     error, reported in the configuration's words."""
@@ -77,17 +101,6 @@ def _config(factory: Callable, **fields):
         return factory(**fields)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _resolve(path: str | None) -> Path | None:
-    if path is None:
-        return None
-    p = Path(path)
-    if not p.exists() and not p.is_absolute():
-        base = os.environ.get(ENV_DATA_DIR)
-        if base and (Path(base) / p).exists():
-            return Path(base) / p
-    return p
 
 
 def _digest(path: Path) -> str:
@@ -103,24 +116,16 @@ def _atomic_write_text(path, text: str) -> None:
         handle.write(text)
 
 
-# Flags that name a file a command reads: the report digests each one given.
-INPUT_FLAGS = ("embeddings", "before", "after", "raw", "disentangled", "english",
-               "lexicon", "animacy", "pairs", "pairs_gendered", "pairs_english",
-               "norms", "questions", "stimuli")
-
-
 def _write_report(args, argv: list[str], results: dict) -> None:
     config = {k: (str(v) if isinstance(v, Path) else v)
-              for k, v in vars(args).items() if k not in ("handler",)}
-    inputs = [_resolve(getattr(args, flag)) for flag in INPUT_FLAGS
-              if getattr(args, flag, None) is not None]
+              for k, v in vars(args).items() if k != "handler"}
     report = {
         "command": args.command,
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "argv": argv,
         "config": config,
-        "inputs": {str(p): _digest(p) for p in inputs},
+        "inputs": {str(v): _digest(v) for v in vars(args).values() if isinstance(v, Path)},
         "results": results,
     }
     text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
@@ -138,17 +143,16 @@ def _default_stimuli_path() -> Path:
 def _table(args, flag: str, required: list[str]) -> EmbeddingTable:
     # With a vocabulary cutoff, words the command is about to test must stay
     # loadable even when ranked below the cutoff.
-    return load_table(_resolve(getattr(args, flag)), vocab_limit=args.vocab_limit,
+    return load_table(getattr(args, flag), vocab_limit=args.vocab_limit,
                       required_words=required if args.vocab_limit else None)
 
 
 def _lexicon(args) -> GenderLexicon:
-    return load_gender_lexicon(_resolve(args.lexicon), _resolve(args.animacy),
-                               language=args.language)
+    return load_gender_lexicon(args.lexicon, args.animacy, language=args.language)
 
 
 def _stimulus_sets(args, *keys: str) -> list[StimulusSet]:
-    return require_sets(load_stimuli(_resolve(args.stimuli)), *keys)
+    return require_sets(load_stimuli(args.stimuli), *keys)
 
 
 def _gender_sample(args, lexicon: GenderLexicon, tables: tuple[EmbeddingTable, ...],
@@ -166,13 +170,23 @@ def _perm_config(args) -> PermutationConfig:
     return PermutationConfig(samples=args.p_samples, seed=args.seed)
 
 
-def _add_table_args(parser: _Parser) -> None:
-    parser.add_argument("--embeddings", help="single table to evaluate")
-    parser.add_argument("--before", help="table before disentanglement")
-    parser.add_argument("--after", help="table after disentanglement")
+def _add_vocab_limit(parser: _Parser) -> None:
     parser.add_argument("--vocab-limit", type=_at_least(1), default=None,
                         help="keep only the first N vocabulary entries (test words "
                              "are force-loaded); recorded in the report")
+
+
+def _add_lexicon_args(parser: _Parser) -> None:
+    parser.add_argument("--lexicon", type=_input, required=True,
+                        help="gendered-noun TSV (word<TAB>F|M)")
+    parser.add_argument("--animacy", type=_input, help="animate words to exclude, one per line")
+
+
+def _add_table_args(parser: _Parser) -> None:
+    parser.add_argument("--embeddings", type=_input, help="single table to evaluate")
+    parser.add_argument("--before", type=_input, help="table before disentanglement")
+    parser.add_argument("--after", type=_input, help="table after disentanglement")
+    _add_vocab_limit(parser)
 
 
 def _add_perm_args(parser: _Parser) -> None:
@@ -182,6 +196,8 @@ def _add_perm_args(parser: _Parser) -> None:
 
 
 def _add_set_args(parser: _Parser) -> None:
+    parser.add_argument("--stimuli", type=_input, default=_default_stimuli_path(),
+                        help="stimulus file (packaged default)")
     parser.add_argument("--min-set-size", type=_at_least(1), default=8,
                         help="minimum usable words per set (default 8)")
     parser.add_argument("--on-missing", choices=("error", "drop"), default="error",
@@ -277,7 +293,7 @@ def _cmd_sc_weat(args) -> dict:
 
 
 def _cmd_gg_weat(args) -> dict:
-    pairs = load_similarity_pairs(_resolve(args.pairs))
+    pairs = load_similarity_pairs(args.pairs)
     lexicon = _lexicon(args)
     a_set, b_set = _stimulus_sets(args, args.attributes_a, args.attributes_b)
     fem_targets, masc_targets = build_gg_targets(pairs, lexicon, args.min_score,
@@ -295,7 +311,7 @@ def _cmd_gg_weat(args) -> dict:
 
 
 def _cmd_valnorm(args) -> dict:
-    norms = load_valence_norms(_resolve(args.norms))
+    norms = load_valence_norms(args.norms)
     pleasant, unpleasant = _stimulus_sets(args, args.pleasant, args.unpleasant)
     required = [n.word for n in norms] + [*pleasant.words, *unpleasant.words]
 
@@ -312,7 +328,7 @@ def _cmd_valnorm(args) -> dict:
 
 
 def _cmd_analogy(args) -> dict:
-    questions = load_analogies(_resolve(args.questions))
+    questions = load_analogies(args.questions)
     sections = set(args.sections.split(",")) if args.sections else None
     pool = [q for q in questions if sections is None or q.section in sections]
     required = sorted({w for q in pool for w in (q.a, q.b, q.c, q.d)})
@@ -328,8 +344,8 @@ def _cmd_analogy(args) -> dict:
 
 
 def _cmd_pairdist(args) -> dict:
-    pairs_gendered = load_similarity_pairs(_resolve(args.pairs_gendered))
-    pairs_english = load_similarity_pairs(_resolve(args.pairs_english))
+    pairs_gendered = load_similarity_pairs(args.pairs_gendered)
+    pairs_english = load_similarity_pairs(args.pairs_english)
     lexicon = _lexicon(args)
     gendered_words = [w for p in pairs_gendered for w in (p.word_a, p.word_b)]
     english_words = [w for p in pairs_english for w in (p.word_a, p.word_b)]
@@ -403,133 +419,107 @@ def build_parser() -> _Parser:
                      description="Disentangle grammatical-gender signals from word "
                                  "embeddings and measure gender associations")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    stimuli = str(_default_stimuli_path())
 
-    def common(p: _Parser) -> None:
+    def command(name: str, handler: Callable[..., dict], help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
         p.add_argument("--report", help="write the JSON report here (stdout if omitted)")
         p.add_argument("--language", default="", help="language code recorded in reports")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("disentangle", help="iteratively remove the gender hyperplane")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--lexicon", required=True, help="gendered-noun TSV (word<TAB>F|M)")
-    p.add_argument("--animacy", help="animate words to exclude, one per line")
-    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
+    p = command("disentangle", _cmd_disentangle, "iteratively remove the gender hyperplane")
+    p.add_argument("--embeddings", type=_input, required=True)
+    _add_lexicon_args(p)
+    _add_vocab_limit(p)
     p.add_argument("--iterations", type=int, default=15, help="projection cap (0 = measure only)")
-    p.add_argument("--stop-accuracy", type=float, default=0.52)
+    p.add_argument("--stop-accuracy", type=_finite, default=0.52)
     p.add_argument("--per-class", type=int, default=3000)
     p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--regularization", type=float, default=1e-4)
-    p.add_argument("--holdout", type=float, default=0.1)
+    p.add_argument("--regularization", type=_finite, default=1e-4)
+    p.add_argument("--holdout", type=_finite, default=0.1)
     p.add_argument("--out-embeddings", help="write the transformed table here")
     p.add_argument("--out-stack", help="write the extracted directions here")
-    common(p)
-    p.set_defaults(handler=_cmd_disentangle)
 
-    p = sub.add_parser("weat", help="two-target association test")
-    p.add_argument("--stimuli", default=stimuli, help="stimulus file (packaged default)")
+    p = command("weat", _cmd_weat, "two-target association test")
     p.add_argument("--targets-x", required=True)
     p.add_argument("--targets-y", required=True)
     p.add_argument("--attributes-a", required=True)
     p.add_argument("--attributes-b", required=True)
     _add_table_args(p)
     _add_perm_args(p)
-    common(p)
-    p.set_defaults(handler=_cmd_weat)
 
-    p = sub.add_parser("sc-weat", help="single-word association test")
-    p.add_argument("--stimuli", default=stimuli)
+    p = command("sc-weat", _cmd_sc_weat, "single-word association test")
     p.add_argument("--word", required=True)
     p.add_argument("--attributes-a", required=True)
     p.add_argument("--attributes-b", required=True)
     _add_table_args(p)
     _add_perm_args(p)
-    common(p)
-    p.set_defaults(handler=_cmd_sc_weat)
 
-    p = sub.add_parser("gg-weat", help="grammatical-gender association test with "
-                                       "targets built from similarity pairs")
-    p.add_argument("--pairs", required=True, help="similarity pair TSV with genders")
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--animacy")
-    p.add_argument("--stimuli", default=stimuli)
+    p = command("gg-weat", _cmd_gg_weat, "grammatical-gender association test with "
+                                         "targets built from similarity pairs")
+    p.add_argument("--pairs", type=_input, required=True,
+                   help="similarity pair TSV with genders")
+    _add_lexicon_args(p)
     p.add_argument("--attributes-a", required=True, help="semantically feminine set key")
     p.add_argument("--attributes-b", required=True, help="semantically masculine set key")
-    p.add_argument("--min-score", type=float, default=6.0,
+    p.add_argument("--min-score", type=_finite, default=6.0,
                    help="similarity threshold for target pairs")
     p.add_argument("--max-per-set", type=_at_least(GG_MIN_TARGETS), default=None)
     _add_table_args(p)
     _add_perm_args(p)
-    common(p)
-    p.set_defaults(handler=_cmd_gg_weat)
 
-    p = sub.add_parser("valnorm", help="valence-norm correlation")
-    p.add_argument("--norms", required=True, help="valence TSV (word<TAB>score)")
-    p.add_argument("--stimuli", default=stimuli)
+    p = command("valnorm", _cmd_valnorm, "valence-norm correlation")
+    p.add_argument("--norms", type=_input, required=True, help="valence TSV (word<TAB>score)")
     p.add_argument("--pleasant", required=True)
     p.add_argument("--unpleasant", required=True)
     _add_table_args(p)
     _add_set_args(p)
-    common(p)
-    p.set_defaults(handler=_cmd_valnorm)
 
-    p = sub.add_parser("analogy", help="offset-analogy accuracy")
-    p.add_argument("--questions", required=True)
+    p = command("analogy", _cmd_analogy, "offset-analogy accuracy")
+    p.add_argument("--questions", type=_input, required=True)
     p.add_argument("--sections", help="comma-separated section filter")
     _add_table_args(p)
-    common(p)
-    p.set_defaults(handler=_cmd_analogy)
 
-    p = sub.add_parser("pairdist", help="pairwise-distance gap reduction")
-    p.add_argument("--pairs-gendered", required=True)
-    p.add_argument("--pairs-english", required=True, help="index-aligned translations")
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--animacy")
-    p.add_argument("--raw", required=True)
-    p.add_argument("--disentangled", required=True)
-    p.add_argument("--english", required=True)
-    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
-    common(p)
-    p.set_defaults(handler=_cmd_pairdist)
+    p = command("pairdist", _cmd_pairdist, "pairwise-distance gap reduction")
+    p.add_argument("--pairs-gendered", type=_input, required=True)
+    p.add_argument("--pairs-english", type=_input, required=True,
+                   help="index-aligned translations")
+    _add_lexicon_args(p)
+    p.add_argument("--raw", type=_input, required=True)
+    p.add_argument("--disentangled", type=_input, required=True)
+    p.add_argument("--english", type=_input, required=True)
+    _add_vocab_limit(p)
 
-    p = sub.add_parser("sweep", help="per-word association sweep before/after")
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--animacy")
-    p.add_argument("--stimuli", default=stimuli)
+    p = command("sweep", _cmd_sweep, "per-word association sweep before/after")
+    _add_lexicon_args(p)
     p.add_argument("--attributes-f", required=True, help="semantically feminine set key")
     p.add_argument("--attributes-m", required=True, help="semantically masculine set key")
     p.add_argument("--per-gender", type=_at_least(1), default=2000)
-    p.add_argument("--before", required=True)
-    p.add_argument("--after", required=True)
-    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
+    p.add_argument("--before", type=_input, required=True)
+    p.add_argument("--after", type=_input, required=True)
+    _add_vocab_limit(p)
     p.add_argument("--out-csv")
     _add_set_args(p)
-    common(p)
-    p.set_defaults(handler=_cmd_sweep)
 
-    p = sub.add_parser("synth", help="generate a synthetic oracle fixture")
+    p = command("synth", _cmd_synth, "generate a synthetic oracle fixture")
     p.add_argument("--dimension", type=int, default=300)
     p.add_argument("--per-class", type=int, default=3000)
-    p.add_argument("--signal", type=float, default=5.0)
-    p.add_argument("--noise", type=float, default=0.5)
-    p.add_argument("--imbalance", type=float, default=1.0)
-    p.add_argument("--second-signal", type=float, default=0.0)
+    p.add_argument("--signal", type=_finite, default=5.0)
+    p.add_argument("--noise", type=_finite, default=0.5)
+    p.add_argument("--imbalance", type=_finite, default=1.0)
+    p.add_argument("--second-signal", type=_finite, default=0.0)
     p.add_argument("--out-embeddings", required=True)
     p.add_argument("--out-base")
     p.add_argument("--out-lexicon")
     p.add_argument("--out-direction")
-    common(p)
-    p.set_defaults(handler=_cmd_synth)
 
-    p = sub.add_parser("pca-coords", help="two-component coordinates of gendered nouns")
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--lexicon", required=True)
-    p.add_argument("--animacy")
-    p.add_argument("--vocab-limit", type=_at_least(1), default=None)
+    p = command("pca-coords", _cmd_pca_coords, "two-component coordinates of gendered nouns")
+    p.add_argument("--embeddings", type=_input, required=True)
+    _add_lexicon_args(p)
+    _add_vocab_limit(p)
     p.add_argument("--per-gender", type=_at_least(1), default=500)
     p.add_argument("--out-csv", required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_pca_coords)
 
     return parser
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .classifier import TrainConfig, decision_direction, train
-from .embeddings import EmbeddingTable, _parse_block, _parse_header, atomic_open, open_text
+from .embeddings import EmbeddingTable, _parse_block, _parse_header, _read_lines, atomic_open
 from .errors import DataError, FormatError
 from .lexicon import GenderLexicon, balanced_sample
 
@@ -222,18 +222,17 @@ def load_stack(path) -> HyperplaneStack:
     no word in front; a bad line raises FormatError naming `path:line`.
     """
     path = Path(path)
-    with open_text(path) as handle:
-        count, dim = _parse_header(handle.readline().rstrip("\r\n"), path, min_count=0)
-        texts, linenos = [], []
-        for lineno, raw in enumerate(handle, start=2):
-            line = raw.rstrip("\r\n")
-            if not line:
-                continue
-            values = [t for t in line.split(" ") if t]
-            if len(values) != dim:
-                raise FormatError(f"{path}:{lineno}: expected {dim} values")
-            texts.append(" ".join(values))
-            linenos.append(lineno)
+    lines = _read_lines(path) or [(1, "")]
+    count, dim = _parse_header(lines[0][1], path, min_count=0)
+    texts, linenos = [], []
+    for lineno, line in lines[1:]:
+        if not line:
+            continue
+        values = [t for t in line.split(" ") if t]
+        if len(values) != dim:
+            raise FormatError(f"{path}:{lineno}: expected {dim} values")
+        texts.append(" ".join(values))
+        linenos.append(lineno)
     if len(texts) != count:
         raise FormatError(f"{path}: header promises {count} directions, found {len(texts)}")
     directions = _parse_block(path, texts, linenos, dim) if texts else np.zeros((0, dim))

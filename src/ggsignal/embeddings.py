@@ -44,7 +44,8 @@ _BLOCK_ROWS = 1024
 # chunk and its counts hold about as much memory as a block of floats.
 _CHUNK_FIELD_BYTES = 4
 
-# Bytes checked as UTF-8 per call, which bounds the decoded text held at once.
+# Bytes checked as UTF-8 per call, bounding the text decoded at once, and read
+# per `_read_lines` chunk.
 _CHECK_BYTES = 1 << 16
 
 # loadtxt strips the information separators U+001C..U+001F around a number as
@@ -214,24 +215,6 @@ def _parse_header(line: str, path: Path, min_count: int = 1) -> tuple[int, int]:
     return count, dim
 
 
-@contextmanager
-def open_text(path):
-    """Read handle of a UTF-8 text file, for every reader of the package but
-    `load_table`, which follows the same rules.
-
-    A file that starts with a byte-order mark raises FormatError naming it,
-    and so does a byte that is not UTF-8, with the line of the first one.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            if handle.read(1) == "\ufeff":
-                raise FormatError(f"{path}: starts with a byte-order mark")
-            handle.seek(0)
-            yield handle
-    except UnicodeDecodeError:
-        raise _invalid_utf8(path) from None
-
-
 def _invalid_utf8(path) -> FormatError:
     return FormatError(f"{path}:{_first_invalid_line(path)}: invalid UTF-8")
 
@@ -257,7 +240,8 @@ class _LineReader:
     the last one may have no end. The reader checks the bytes as UTF-8 as it
     reads them: a byte that is not UTF-8 anywhere in what it has read, or a
     character cut short by the end of the file, raises FormatError naming
-    the line of the file's first bad byte.
+    the line of the file's first bad byte, and so does a byte-order mark at
+    the start of the first chunk.
     """
 
     def __init__(self, handle, path):
@@ -268,6 +252,7 @@ class _LineReader:
         self._taken = 0     # bytes of buf returned as lines
         self._checked = 0   # bytes of buf that are whole UTF-8 characters
         self._eof = False
+        self._first = True
 
     def next(self, size: int) -> int:
         """End of the next chunk, which starts at buf[0]: the whole lines in
@@ -289,6 +274,9 @@ class _LineReader:
                     lf = buf.find(b"\n", size, ready)
                     end = lf + 1 if lf >= 0 else ready if self._eof else _lines_end(buf, ready)
             if end > 0:
+                if self._first and buf.startswith(codecs.BOM_UTF8, 0, end):
+                    raise FormatError(f"{self._path}: starts with a byte-order mark")
+                self._first = False
                 self._taken = end
                 return end
             if self._eof:
@@ -315,6 +303,20 @@ class _LineReader:
         self._checked = pos
         if self._eof and self._checked < self._held:
             raise _invalid_utf8(self._path)
+
+
+def _read_lines(path) -> list[tuple[int, str]]:
+    """Every line of a UTF-8 text file, numbered from 1 and without its end,
+    read through `_LineReader`, so under the rules of `load_table`."""
+    lines: list[str] = []
+    with open(path, "rb") as handle:
+        reader = _LineReader(handle, path)
+        while end := reader.next(_CHECK_BYTES):
+            # bytes.splitlines ends lines at LF, CRLF and a lone CR, as text
+            # mode does; str.splitlines also ends them at U+001C..U+001F,
+            # U+0085 and U+2028.
+            lines += [line.decode() for line in reader.buf[:end].splitlines()]
+    return list(enumerate(lines, start=1))
 
 
 def _lines_end(buf: bytearray, end: int) -> int:
@@ -483,8 +485,6 @@ def load_table(path, vocab_limit: int | None = None,
         end = reader.next(_BLOCK_ROWS * _CHUNK_FIELD_BYTES)
         if not end:
             raise FormatError(f"{path}: empty file")
-        if buf.startswith(codecs.BOM_UTF8, 0, end):
-            raise FormatError(f"{path}: starts with a byte-order mark")
         header = buf[:end].splitlines(keepends=True)[0]
         count, dim = _parse_header(header.decode().rstrip("\r\n"), path)
         # A data line takes dim + 1 fields of a byte or more, dim separators

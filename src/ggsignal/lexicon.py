@@ -1,7 +1,8 @@
 """Word-list datasets: gendered-noun lexicons, stimulus sets, similarity
 pairs, valence norms, and analogy questions.
 
-File formats (all UTF-8 without a byte-order mark, CR tolerated):
+File formats (all UTF-8 without a byte-order mark, lines ended by LF, CRLF
+or a lone CR, and read as vector tables are read):
 
 * gendered nouns  — TSV ``word<TAB>F|M``
 * animacy list    — one word per line, may be empty or omitted
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .embeddings import _parse_block, open_text
+from .embeddings import _parse_block, _read_lines
 from .errors import DataError, FormatError
 from .seeding import rng_for
 
@@ -114,11 +115,6 @@ class AnalogyQuestion:
     c: str
     d: str
     section: str
-
-
-def _read_lines(path) -> list[tuple[int, str]]:
-    with open_text(path) as handle:
-        return [(i, line.rstrip("\r\n")) for i, line in enumerate(handle, start=1)]
 
 
 def load_gender_lexicon(nouns_path, animacy_path=None, language: str = "") -> GenderLexicon:
@@ -245,7 +241,7 @@ def require_sets(stimuli: Mapping[str, StimulusSet], *keys: str) -> list[Stimulu
 
 def _parse_number(path, lineno: int, field: str) -> float:
     """One numeric field, under the value rules of vector tables."""
-    text = field.strip()
+    text = field.strip(" ")
     if not text:  # checked here: loadtxt would warn that it read no data
         raise FormatError(f"{path}:{lineno}: non-numeric value")
     return float(_parse_block(path, [text], [lineno], 1)[0, 0])

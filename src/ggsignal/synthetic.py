@@ -48,13 +48,13 @@ class SynthConfig:
             raise ValueError("dimension must be at least 2")
         if self.per_class < 16:
             raise ValueError("per_class must be at least 16")
-        if self.signal_strength < 0 or self.noise_scale < 0:
+        if not (self.signal_strength >= 0 and self.noise_scale >= 0):
             raise ValueError("signal_strength and noise_scale must be >= 0")
-        if self.class_imbalance <= 0:
+        if not self.class_imbalance > 0:
             raise ValueError("class_imbalance must be positive")
         if round(self.per_class * self.class_imbalance) < 16:
             raise ValueError("class_imbalance leaves the masculine class below 16 words")
-        if self.second_direction_strength < 0:
+        if not self.second_direction_strength >= 0:
             raise ValueError("second_direction_strength must be >= 0")
 
 

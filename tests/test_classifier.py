@@ -137,6 +137,10 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(holdout_fraction=1.0)
+    with pytest.raises(ValueError, match="regularization_strength must be positive"):
+        TrainConfig(regularization_strength=float("nan"))
+    with pytest.raises(ValueError, match="holdout_fraction"):
+        TrainConfig(holdout_fraction=float("nan"))
 
 
 # ------------------------------------------------------------ reference oracle

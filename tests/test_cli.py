@@ -171,12 +171,27 @@ def test_weat_usage_error_exit_code(env):
     (["disentangle", "--epochs", "0"], "epochs must be a positive integer"),
     (["disentangle", "--regularization", "0"], "regularization_strength must be positive"),
     (["disentangle", "--holdout", "1.5"], "holdout_fraction must be in (0, 1)"),
+    (["disentangle", "--regularization", "nan"],
+     "argument --regularization: must be a finite number, got 'nan'"),
+    (["disentangle", "--stop-accuracy", "nan"], "argument --stop-accuracy: must be a finite"),
+    (["disentangle", "--holdout", "inf"], "argument --holdout: must be a finite"),
+    (["synth", "--second-signal", "nan"], "argument --second-signal: must be a finite"),
+    (["synth", "--signal", "nan"], "argument --signal: must be a finite"),
+    (["synth", "--noise", "inf"], "argument --noise: must be a finite"),
+    (["synth", "--imbalance", "NaN"], "argument --imbalance: must be a finite"),
+    (["synth", "--signal", "strong"], "argument --signal: must be a finite number, got 'strong'"),
+    (["gg-weat", "--min-score", "nan"], "argument --min-score: must be a finite"),
 ])
 def test_rejected_option_values_are_usage_errors(env, tmp_path, capsys, extra, message):
     command, *options = extra
     inputs = {"synth": ["--out-embeddings", str(tmp_path / "x.vec")],
               "disentangle": ["--embeddings", str(env["table"]),
-                              "--lexicon", str(env["lexicon"])]}[command]
+                              "--lexicon", str(env["lexicon"])],
+              # --pairs is never read: the bad value fails the parse first.
+              "gg-weat": ["--pairs", str(env["lexicon"]), "--lexicon", str(env["lexicon"]),
+                          "--stimuli", str(env["stimuli"]), "--attributes-a", "syn.attrs.f",
+                          "--attributes-b", "syn.attrs.m", "--embeddings", str(env["table"])],
+              }[command]
     report = tmp_path / "r.json"
     assert main([command, *inputs, *options, "--report", str(report)]) == 1
     assert f"usage error: {message}" in capsys.readouterr().err

@@ -546,8 +546,9 @@ def test_resolve_keeps_order_and_names_every_unusable_word(caplog):
 
 
 DIGIT_VALUES = ["1_0", "1e1_0", "١", "１", "1٢"]
-# Scores and valences follow the same rules, and also reject these two.
-FIELD_VALUES = [*DIGIT_VALUES, "nan", ""]
+# Scores and valences follow the same rules, and also reject these: the
+# information separators around a number are not stripped as whitespace.
+FIELD_VALUES = [*DIGIT_VALUES, "nan", "", "1\x1c", "\x1f1"]
 
 
 @pytest.mark.filterwarnings("error")
@@ -735,6 +736,9 @@ def _bad_byte_files():
         "table-truncated-sequence": (load_table, b"1 1\n\xc3", 2),
         "table-after-a-malformed-line": (load_table, b"3 2\na 1\nb 0 1\nc\xff 1 1\n", 4),
         "stack": (load_stack, b"2 2\n1 0\n0 1\x80\n", 3),
+        # The bad byte lies past the 8 KiB that text reading decodes at once.
+        "stack-after-a-malformed-line": (load_stack, b"3 2\n1 0\n0\n0" + b" " * 10_000
+                                         + b"1\x80\n", 4),
         "pairs": (load_similarity_pairs, b"a\tb\t1\nc\td\xff\t2\n", 2),
     }
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ggsignal.disentangler import load_stack
 from ggsignal.errors import DataError, FormatError
 from ggsignal.lexicon import (GenderLexicon, StimulusSet, balanced_sample,
                               load_analogies, load_gender_lexicon,
@@ -188,3 +189,41 @@ def test_analogies_sections_and_shape(tmp_path):
         load_analogies(write(tmp_path, "bad.txt", ": s\na b c\n"))
     with pytest.raises(FormatError):
         load_analogies(write(tmp_path, "bad2.txt", ": s\na b c a\n"))
+
+
+# Per reader: a valid text, a text with a malformed line, and the message
+# naming that line. Most valid texts hold U+001C, U+0085 or U+2028 inside a
+# line: text reading does not end lines there, str.splitlines does.
+LINE_END_FILES = {
+    "lexicon": (load_gender_lexicon, "# nouns\nluna\tF\n\nsol\tM\nc\u2028d\tF\n",
+                "luna\tF\nsol\tM\nluz F\n", ":3: expected 'word<TAB>F|M'"),
+    "animacy": (lambda path: load_gender_lexicon(write(path.parent, "n.tsv", NOUNS), path),
+                "madre\n\nrey\n", None, None),
+    "stimuli": (load_stimuli, "[a\x1cb]\nx\ny\n# note\n\n[c]\nw\u2028v\n",
+                "[a]\nx\n\n[ ]\n", ":4: empty set key"),
+    "pairs": (load_similarity_pairs, "# pairs\na\tb\t7.5\n\nc\x85\td\t6\tF\tM\n",
+              "a\tb\t7.5\nc\td\n", ":2: expected 3 or 5 tab-separated fields"),
+    "norms": (load_valence_norms, "a\t1.5\n\nb\x1c\t-2\n",
+              "a\t1.5\nb\t2\t3\n", ":2: expected 'word<TAB>valence'"),
+    "analogies": (load_analogies, ": s\na b c d\n\ne\u2028 f g h\n",
+                  ": s\na b c d\ne f g\n", ":3: expected four words per question"),
+    "stack": (lambda path: load_stack(path).directions.tolist(), "2 2\n1 0\n\n0 1\n",
+              "2 2\n1 0\n0\n", ":3: expected 2 values"),
+}
+NOUNS = "madre\tF\nluna\tF\nrey\tM\nsol\tM\n"
+
+
+@pytest.mark.parametrize("name", sorted(LINE_END_FILES))
+def test_lf_crlf_and_lone_cr_files_load_alike(tmp_path, name):
+    load, text, malformed, message = LINE_END_FILES[name]
+    path = tmp_path / "input.txt"
+    loaded = []
+    for end in ("\n", "\r\n", "\r"):
+        path.write_bytes(text.replace("\n", end).encode("utf-8"))
+        loaded.append(load(path))
+        if malformed is not None:
+            path.write_bytes(malformed.replace("\n", end).encode("utf-8"))
+            with pytest.raises(FormatError) as exc:
+                load(path)
+            assert str(exc.value) == f"{path}{message}"
+    assert loaded[0] == loaded[1] == loaded[2]

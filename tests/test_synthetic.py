@@ -101,3 +101,10 @@ def test_config_validation():
         SynthConfig(class_imbalance=0.0)
     with pytest.raises(ValueError):
         SynthConfig(per_class=20, class_imbalance=0.5)
+    # NaN fails every range check, instead of passing as a comparison would.
+    for field, message in [("signal_strength", "signal_strength and noise_scale"),
+                           ("noise_scale", "signal_strength and noise_scale"),
+                           ("class_imbalance", "class_imbalance must be positive"),
+                           ("second_direction_strength", "second_direction_strength")]:
+        with pytest.raises(ValueError, match=message):
+            SynthConfig(**{field: float("nan")})
