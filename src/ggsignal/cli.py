@@ -21,6 +21,7 @@ import json
 import logging
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from importlib import resources
@@ -57,7 +58,18 @@ class UsageError(Exception):
     pass
 
 
+# Every negative decimal, exponent, inf and nan literal: argparse's own
+# pattern takes only `-1` and `-.5`, and reads `-1e-4` or `-inf` as an option
+# name. A value it matches reaches the flag's type or configuration check.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$",
+                              re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise UsageError(message)
 
@@ -140,11 +152,14 @@ def _default_stimuli_path() -> Path:
     return Path(str(resources.files("ggsignal").joinpath("data/stimuli_weat.txt")))
 
 
-def _table(args, flag: str, required: list[str]) -> EmbeddingTable:
-    # With a vocabulary cutoff, words the command is about to test must stay
-    # loadable even when ranked below the cutoff.
+def _table(args, flag: str, required: list[str], vocabulary: bool = False) -> EmbeddingTable:
+    # The words a command names load even when ranked below --vocab-limit. A
+    # command that reads the `vocabulary` (disentangle writes every row,
+    # analogy scores candidates over all of them) keeps every row inside the
+    # limit too; every other command looks up only the words it names, so
+    # only their rows are kept and parsed. Both kinds read the same lines.
     return load_table(getattr(args, flag), vocab_limit=args.vocab_limit,
-                      required_words=required if args.vocab_limit else None)
+                      required_words=required, required_only=not vocabulary)
 
 
 def _lexicon(args) -> GenderLexicon:
@@ -172,8 +187,10 @@ def _perm_config(args) -> PermutationConfig:
 
 def _add_vocab_limit(parser: _Parser) -> None:
     parser.add_argument("--vocab-limit", type=_at_least(1), default=None,
-                        help="keep only the first N vocabulary entries (test words "
-                             "are force-loaded); recorded in the report")
+                        help="read only the first N vocabulary entries, plus the words "
+                             "the command names wherever they are (disentangle and "
+                             "analogy keep all of them, other commands only the named "
+                             "words); recorded in the report")
 
 
 def _add_lexicon_args(parser: _Parser) -> None:
@@ -212,7 +229,7 @@ def _set_options(args) -> dict:
 
 
 def _per_condition(args, required: list[str], measure: Callable[[EmbeddingTable], dict],
-                   key: str = "effect_size") -> dict:
+                   key: str = "effect_size", vocabulary: bool = False) -> dict:
     """`measure` of the --embeddings table, or of --before and --after plus
     the after-minus-before delta of `key`."""
     have_single = args.embeddings is not None
@@ -220,10 +237,10 @@ def _per_condition(args, required: list[str], measure: Callable[[EmbeddingTable]
     if have_single == have_pair:
         raise UsageError("give either --embeddings or both --before and --after")
     if have_single:
-        return {"table": measure(_table(args, "embeddings", required))}
+        return {"table": measure(_table(args, "embeddings", required, vocabulary))}
     if args.before is None or args.after is None:
         raise UsageError("--before and --after must be given together")
-    tables = {name: _table(args, name, required) for name in ("before", "after")}
+    tables = {name: _table(args, name, required, vocabulary) for name in ("before", "after")}
     results = {name: measure(table) for name, table in tables.items()}
     results["delta"] = {key: results["after"][key] - results["before"][key]}
     return results
@@ -243,7 +260,7 @@ def _cmd_disentangle(args) -> dict:
         seed=args.seed,
     )
     lexicon = _lexicon(args)
-    table = _table(args, "embeddings", list(lexicon.words))
+    table = _table(args, "embeddings", list(lexicon.words), vocabulary=True)
     transformed, stack = run_disentangle(table, lexicon, config)
 
     missing_lexicon = [w for w in lexicon.words if w not in table]
@@ -339,7 +356,7 @@ def _cmd_analogy(args) -> dict:
 
     return {
         "sections": sorted(sections) if sections else None,
-        **_per_condition(args, required, measure, key="accuracy"),
+        **_per_condition(args, required, measure, key="accuracy", vocabulary=True),
     }
 
 

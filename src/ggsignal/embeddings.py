@@ -60,7 +60,9 @@ class EmbeddingTable:
     Immutable after construction; the disentangler produces transformed
     copies rather than mutating in place, so tables are safe to share
     across threads for reads. A row whose values are not finite, or whose
-    squares overflow, is rejected.
+    squares overflow, is rejected. A table may have no rows: a load that
+    keeps only the words a command names gives one when the file holds none
+    of them, and lookups then report every word missing.
     """
 
     def __init__(self, words: Sequence[str], matrix: np.ndarray,
@@ -178,12 +180,12 @@ class EmbeddingTable:
 def _checked_matrix(matrix: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only float64 `matrix` and its row norms, computed in blocks.
 
-    Raises FormatError unless `matrix` is 2-d with `rows` rows (at least one),
-    every value finite and no row's squares overflowing.
+    Raises FormatError unless `matrix` is 2-d with `rows` rows, every value
+    finite and no row's squares overflowing.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise FormatError("embedding table needs at least one entry")
+    if matrix.ndim != 2:
+        raise FormatError("embedding matrix must be 2-d")
     if rows != matrix.shape[0]:
         raise FormatError("word list and matrix row count disagree")
     norms = np.empty(matrix.shape[0])
@@ -399,27 +401,35 @@ def atomic_open(path):
 
 
 def load_table(path, vocab_limit: int | None = None,
-               required_words: Iterable[str] | None = None) -> EmbeddingTable:
+               required_words: Iterable[str] | None = None, *,
+               required_only: bool = False) -> EmbeddingTable:
     """Load a text vector file.
 
-    Keeps the first `vocab_limit` entries (all of them when None) plus every
-    word from `required_words` found anywhere in the file. Required words not
-    present in the file are reported on the returned table's
-    `missing_required` and logged, never invented. Duplicate words keep their
-    first occurrence. Any malformed line aborts the load with a FormatError
-    naming its line number: silent skipping would hide data corruption.
+    Counts the first `vocab_limit` entries (all of them when None) plus every
+    word from `required_words` found anywhere in the file, and keeps them
+    all; with `required_only`, it keeps only the required words among them,
+    for a caller that looks up nothing else. A counted row that is not kept
+    is never parsed, but it counts toward `vocab_limit` as a kept one does,
+    so both kinds of load read the same lines and stop at the same one.
+    Required words not present in the file are reported on the returned
+    table's `missing_required` and logged, never invented. Duplicate words
+    count and keep their first occurrence. Any malformed line aborts the
+    load with a FormatError naming its line number: silent skipping would
+    hide data corruption.
 
     Fields are separated by single or repeated spaces; leading and trailing
-    spaces, CRLF line ends and blank lines are ignored. Every non-blank line,
-    kept or skipped, must hold the word plus `dimension` fields. Values are
-    finite decimal numbers in ASCII digits (`1.5`, `-2e-3`, `.5`); digit
-    separators such as `1_0` and non-ASCII digits are rejected. A load that
-    reads to the end of the file checks that the number of non-blank data
-    lines equals the header's count, so a truncated or overlong file fails;
-    a file that keeps more rows than its header promises fails at the first
-    extra kept row. A load that stops early, because `vocab_limit` entries
-    and every required word are in, does not read the rest and cannot check
-    it.
+    spaces, CRLF line ends and blank lines are ignored. Every non-blank line
+    the load reads, kept or not, must hold the word plus `dimension` fields.
+    The values of a kept row are finite decimal numbers in ASCII digits
+    (`1.5`, `-2e-3`, `.5`); digit separators such as `1_0` and non-ASCII
+    digits are rejected. No other row's values are parsed or checked. A
+    load that reads to the end of the file checks that the number of
+    non-blank data lines equals the header's count, so a truncated or
+    overlong file fails; a file that counts more rows than its header
+    promises fails at the first extra counted row. A load that stops early,
+    because `vocab_limit` entries and every required word are in, does not
+    read the rest and cannot check it. A `required_only` load of a file
+    that holds none of the required words gives an empty table.
 
     Reading: the file is read one bounded chunk of whole lines at a time,
     about `_BLOCK_ROWS / 2` lines, into one reused buffer (`_LineReader`).
@@ -436,19 +446,20 @@ def load_table(path, vocab_limit: int | None = None,
     and before a malformed line earlier in the chunk.
 
     Memory: the matrix is allocated once, for the fewest rows the header,
-    `vocab_limit` plus the required words, and the file's size allow, and
-    filled `_BLOCK_ROWS` kept rows at a time; the load peaks at about the
-    matrix's bytes plus one block of value text and floats plus one chunk
-    with its space counts. A header that claims more rows than the file can
-    hold allocates no more than the file allows.
+    the file's size and `vocab_limit` plus the required words allow, or the
+    required words alone under `required_only`, and filled `_BLOCK_ROWS`
+    kept rows at a time; the load peaks at about the matrix's bytes plus one
+    block of value text and floats plus one chunk with its space counts,
+    plus the counted words. A header that claims more rows than the file
+    can hold allocates no more than the file allows.
     """
     path = Path(path)
     if vocab_limit is not None and vocab_limit <= 0:
         raise ValueError("vocab_limit must be positive")
     limit = math.inf if vocab_limit is None else vocab_limit
     required = set(required_words or ())
-    words: list[str] = []
-    seen: set[str] = set()
+    words: list[str] = []      # kept rows
+    seen: set[str] = set()     # counted rows
     pending = set(required)
     texts: list[str] = []      # value fields of kept rows not yet converted
     linenos: list[int] = []
@@ -460,24 +471,27 @@ def load_table(path, vocab_limit: int | None = None,
             linenos.clear()
 
     def wanted(word: str) -> bool:
-        return word not in seen and (len(words) < limit or word in required)
+        return word not in seen and (len(seen) < limit or word in required)
 
-    def keep(word: str, text: str, lineno: int) -> bool:
-        """Keeps a row; True once every row the load wants is in."""
-        if len(words) == len(matrix):
-            # Kept rows never outnumber the file's rows or the limit plus
-            # the required words, so this row is past the header's count.
-            convert()
+    def counted(word: str, lineno: int) -> bool:
+        """Counts a wanted row; True once every row the load wants is in."""
+        if len(seen) == count:
+            convert()  # an earlier bad value is reported first
             raise FormatError(f"{path}:{lineno}: header promises {count} rows, "
                               f"file holds at least {count + 1}")
-        words.append(word)
         seen.add(word)
         pending.discard(word)
+        return len(seen) >= limit and not pending
+
+    def keep(word: str, text: str, lineno: int) -> bool:
+        """Counts and keeps a wanted row; True as `counted`."""
+        done = counted(word, lineno)
+        words.append(word)
         texts.append(text)
         linenos.append(lineno)
         if len(texts) == _BLOCK_ROWS:
             convert()
-        return len(words) >= limit and not pending
+        return done
 
     with open(path, "rb") as handle:
         reader = _LineReader(handle, path)
@@ -492,7 +506,10 @@ def load_table(path, vocab_limit: int | None = None,
         # last line without one), so the file holds at most this many rows.
         size = os.fstat(handle.fileno()).st_size
         file_rows = size // (2 * (dim + 1))
-        capacity = min(count, limit + len(required), file_rows)
+        # Kept rows never outnumber the required words under required_only,
+        # nor the counted rows, which a load stops counting at `count`.
+        capacity = min(count, len(required) if required_only else limit + len(required),
+                       file_rows)
         # A file with no room for a row may claim a dimension no array can have.
         matrix = np.empty((capacity, dim if capacity else 0))
         # No line of 65535 fields or more is regular (`_regular_lines`), so
@@ -510,9 +527,12 @@ def load_table(path, vocab_limit: int | None = None,
                     space = buf.find(b" ", pos, stop)
                     word = buf[pos:space].decode()
                     if wanted(word):
-                        last = stop - (buf[stop - 1] == 13)  # the CR of a CRLF
-                        last -= buf[last - 1] == 32  # fastText ends lines with a space
-                        done = keep(word, buf[space + 1:last].decode(), lineno)
+                        if required_only and word not in required:
+                            done = counted(word, lineno)
+                        else:
+                            last = stop - (buf[stop - 1] == 13)  # the CR of a CRLF
+                            last -= buf[last - 1] == 32  # fastText ends lines with a space
+                            done = keep(word, buf[space + 1:last].decode(), lineno)
                 else:
                     # Blank, irregular and malformed lines take the per-line
                     # rule; lone CRs split the text before an LF into lines.
@@ -527,7 +547,12 @@ def load_table(path, vocab_limit: int | None = None,
                             convert()  # an earlier bad value is reported first
                             raise FormatError(
                                 f"{path}:{lineno}: expected {dim + 1} fields, got {fields}")
-                        done = wanted(word) and keep(word, text, lineno)
+                        if not wanted(word):
+                            continue
+                        if required_only and word not in required:
+                            done = counted(word, lineno)
+                        else:
+                            done = keep(word, text, lineno)
                         if done:
                             break
                 if done:

@@ -3,13 +3,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ggsignal
-from ggsignal import association
+from ggsignal import association, embeddings
 from ggsignal.cli import _default_stimuli_path, main
 from ggsignal.disentangler import load_stack
 from ggsignal.embeddings import EmbeddingTable, load_table, save_table
@@ -181,6 +183,8 @@ def test_weat_usage_error_exit_code(env):
     (["synth", "--imbalance", "NaN"], "argument --imbalance: must be a finite"),
     (["synth", "--signal", "strong"], "argument --signal: must be a finite number, got 'strong'"),
     (["gg-weat", "--min-score", "nan"], "argument --min-score: must be a finite"),
+    (["synth", "--signal", "-1e-4"], "signal_strength and noise_scale must be >= 0"),
+    (["synth", "--noise", "-inf"], "argument --noise: must be a finite number, got '-inf'"),
 ])
 def test_rejected_option_values_are_usage_errors(env, tmp_path, capsys, extra, message):
     command, *options = extra
@@ -695,3 +699,130 @@ def test_lexicon_sampling_builds_no_vocabulary_set(files, tmp_path, monkeypatch,
     monkeypatch.setattr(EmbeddingTable, "words", property(refuse))
     assert main([*COMMANDS[command](files, tmp_path),
                  "--report", str(tmp_path / "r.json")]) == 0
+
+
+def _named_words(f, command: str) -> set[str]:
+    """The words `COMMANDS[command]` names, from how `files` are built."""
+    fem, masc = f["fem"], f["masc"]
+    lexicon = set(fem + masc) - {fem[59]}   # fem[59] is on the animacy list
+    attrs = set(fem[10:20] + masc[10:20])
+    return {
+        "disentangle": lexicon,
+        "weat": set(fem[:20] + masc[:20]),
+        "sc-weat": {fem[0]} | attrs,
+        "gg-weat": set(fem[20:40] + masc[20:40]) | attrs,
+        "valnorm": set(fem[:6] + masc[:6]) | attrs,
+        "analogy": {fem[0], fem[1], masc[0], masc[1]},
+        "pairdist": set(fem[:4] + masc[:4]),
+        "sweep": lexicon | attrs,
+        "pca-coords": lexicon,
+    }[command]
+
+
+def _spy_parsed_words(monkeypatch) -> dict[str, set[str]]:
+    """{path: words} of the table rows whose values `_parse_block` converts."""
+    parsed = defaultdict(set)
+    parse = embeddings._parse_block
+
+    def spy(path, texts, linenos, dim):
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        parsed[str(path)].update(lines[n - 1].split(" ", 1)[0] for n in linenos)
+        return parse(path, texts, linenos, dim)
+
+    monkeypatch.setattr(embeddings, "_parse_block", spy)
+    return parsed
+
+
+def _file_words(path) -> list[str]:
+    return [line.split(" ", 1)[0]
+            for line in Path(path).read_text(encoding="utf-8").splitlines()[1:]]
+
+
+NAMED_ROW_COMMANDS = ["weat", "sc-weat", "gg-weat", "valnorm", "pairdist", "sweep",
+                      "pca-coords"]
+
+
+@pytest.mark.parametrize("vocab_limit", [None, 50])
+@pytest.mark.parametrize("command", NAMED_ROW_COMMANDS + ["disentangle", "analogy"])
+def test_only_disentangle_and_analogy_parse_the_vocabulary(files, tmp_path, monkeypatch,
+                                                          command, vocab_limit):
+    argv = COMMANDS[command](files, tmp_path)
+    if vocab_limit is not None:
+        argv += ["--vocab-limit", str(vocab_limit)]
+    parsed = _spy_parsed_words(monkeypatch)
+    assert main([*argv, "--report", str(tmp_path / "r.json")]) == 0
+    assert set(parsed) == {arg for arg in argv if arg.endswith(".vec")}
+    named = _named_words(files, command)
+    for path, words in parsed.items():
+        vocabulary = _file_words(path)
+        if command in NAMED_ROW_COMMANDS:
+            # Only the named words present, wherever they are in the file.
+            assert words == named & set(vocabulary), path
+        else:
+            assert words == set(vocabulary[:vocab_limit]) | (named & set(vocabulary)), path
+
+
+def _with_bad_value(path, word: str, out) -> int:
+    """Copy of table `path` with a non-numeric value in `word`'s row; its line."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith(word + " "))
+    lines[row] = f"{word} zebra " + lines[row].split(" ", 2)[2]
+    Path(out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return row + 1
+
+
+def test_values_of_rows_a_command_does_not_keep_are_not_checked(files, tmp_path, capsys):
+    # masc[50] is named by neither command, and lies inside the limit.
+    bad = tmp_path / "bad.vec"
+    line = _with_bad_value(files["table"], files["masc"][50], bad)
+    limit = ["--vocab-limit", str(len(_file_words(bad)))]
+    weat = COMMANDS["weat"](files, tmp_path)
+    weat[weat.index("--before"):] = ["--embeddings", str(bad)]
+    assert main([*weat, *limit, "--report", str(tmp_path / "weat.json")]) == 0
+    analogy = ["analogy", "--questions", str(files["questions"]), "--embeddings", str(bad)]
+    assert main([*analogy, *limit, "--report", str(tmp_path / "analogy.json")]) == 2
+    assert f"data error: {bad}:{line}: non-numeric value" in capsys.readouterr().err
+    assert not (tmp_path / "analogy.json").exists()
+
+
+def test_weat_with_a_vocab_limit_allocates_the_named_rows_not_the_limit(tmp_path):
+    # 50,040 rows of 100 values, all inside the limit: a load that kept them
+    # would hold a 40 MB matrix. The 40 words weat names are spread through.
+    rows, dim = 50_000, 100
+    sets = {key: [f"{key[0]}{i}" for i in range(10)] for key in ("xs", "ys", "as", "bs")}
+    named = [w for words in sets.values() for w in words]
+    rng = np.random.default_rng(0)
+    filler = " 0.1" * dim
+    lines = [f"{rows + len(named)} {dim}"]
+    step = rows // len(named)
+    for i in range(rows):
+        if i % step == 0:
+            values = " ".join(f"{v:.4f}" for v in rng.normal(size=dim))
+            lines.append(f"{named[i // step]} {values}")
+        lines.append(f"w{i}{filler}")
+    table = tmp_path / "big.vec"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    stimuli = tmp_path / "stimuli.txt"
+    stimuli.write_text("".join(f"[{key}]\n" + "\n".join(words) + "\n"
+                               for key, words in sets.items()), encoding="utf-8")
+    argv = ["weat", "--stimuli", str(stimuli), "--targets-x", "xs", "--targets-y", "ys",
+            "--attributes-a", "as", "--attributes-b", "bs", "--embeddings", str(table),
+            "--vocab-limit", str(rows + len(named)), "--report", str(tmp_path / "r.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+        # What the load holds beside its rows: one word per counted row.
+        before = tracemalloc.get_traced_memory()[0]
+        counted = set(_file_words(table))
+        words_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del counted
+    line_bytes = table.stat().st_size / (rows + len(named))
+    block = embeddings._BLOCK_ROWS * (line_bytes + 8 * dim)
+    # A chunk's bytes and their uint16 space counts.
+    chunk = 3 * embeddings._BLOCK_ROWS * embeddings._CHUNK_FIELD_BYTES * (dim + 1)
+    digest = 1 << 20   # cli._digest reads the file 1 MiB at a time
+    assert peak <= 8 * dim * len(named) + block + chunk + words_bytes + digest
+    assert peak < 0.25 * 8 * dim * rows

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from contextlib import contextmanager
@@ -230,7 +231,8 @@ def test_rows_names_missing_words(fixture_table):
 # save_table replaced. The block parser and the row formatter must agree with
 # them bit for bit and byte for byte on every file both accept.
 
-def reference_load(path, vocab_limit=None, required_words=None):
+def reference_load(path, vocab_limit=None, required_words=None, stops=None):
+    """The per-row load; appends the line where it stops early to `stops`."""
     required = set(required_words or ())
     words, vectors, seen, pending = [], [], set(), set(required)
     with open(path, encoding="utf-8") as handle:
@@ -263,6 +265,8 @@ def reference_load(path, vocab_limit=None, required_words=None):
             seen.add(word)
             pending.discard(word)
             if vocab_limit is not None and len(words) >= vocab_limit and not pending:
+                if stops is not None:
+                    stops.append(lineno)
                 break
     if not words:
         raise FormatError(f"{path}: no entries loaded")
@@ -343,6 +347,73 @@ def test_load_matches_per_row_reference(tmp_path_factory, text, vocab_limit, req
     assert actual.missing_required == expected.missing_required
     assert actual.matrix.shape == expected.matrix.shape
     assert np.array_equal(actual.matrix.view(np.int64), expected.matrix.view(np.int64))
+
+
+def _zeroed(text: str, named: set[str]) -> str:
+    """`text` with every value of each row whose word is not `named` replaced
+    by 0: the rows that a `required_only` load counts but never parses."""
+    lines = io.StringIO(text, newline="").readlines()  # ends at LF, CRLF or CR
+    dim = int(lines[0].split()[1])
+    out = lines[:1]
+    for line in lines[1:]:
+        body = line.rstrip("\r\n")
+        tokens = [t for t in body.split(" ") if t]
+        if len(tokens) == dim + 1 and tokens[0] not in named:
+            body = " ".join([tokens[0]] + ["0"] * dim)
+        out.append(body + line[len(line.rstrip("\r\n")):])
+    return "".join(out)
+
+
+def _with_line(text: str, lineno: int, line: str) -> str:
+    """`text` with `line` inserted as its line `lineno` (the header is line 1)."""
+    lines = io.StringIO(text, newline="").readlines()
+    if lineno > len(lines) and not lines[-1].endswith(("\n", "\r")):
+        lines[-1] += "\n"
+    return "".join(lines[:lineno - 1] + [line + "\n"] + lines[lineno - 1:])
+
+
+def _assert_named_load_matches_zeroed_reference(path, text, vocab_limit, named):
+    """The `required_only` load of `text` is `reference_load` of `_zeroed(text)`
+    restricted to the named words, or raises its message. Returns None when
+    they raise, else a list of the line where the reference stopped early,
+    if it did."""
+    kwargs = {"vocab_limit": vocab_limit, "required_words": named}
+    stops: list[int] = []
+    path.write_bytes(_zeroed(text, set(named)).encode("utf-8"))
+    expected = _outcome(reference_load, path, stops=stops, **kwargs)
+    path.write_bytes(text.encode("utf-8"))
+    actual = _outcome(load_table, path, required_only=True, **kwargs)
+    if isinstance(expected, str):
+        # A file with no data lines fails the header count check first.
+        assert actual == expected.replace("no entries loaded",
+                                          "header promises 1 rows, file holds 0")
+        return None
+    assert not isinstance(actual, str), actual
+    kept = [i for i, word in enumerate(expected.words) if word in named]
+    assert actual.words == tuple(expected.words[i] for i in kept)
+    assert actual.missing_required == expected.missing_required
+    assert actual.matrix.shape == (len(kept), expected.dimension)
+    assert np.array_equal(actual.matrix.view(np.int64), expected.matrix[kept].view(np.int64))
+    return stops
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=vector_files(),
+       vocab_limit=st.one_of(st.none(), st.integers(1, 13)),
+       named=st.lists(st.sampled_from(WORDS + ["ghost"]), max_size=4))
+def test_named_row_load_matches_reference_of_zeroed_file(tmp_path_factory, text, vocab_limit,
+                                                         named):
+    path = tmp_path_factory.mktemp("named") / "t.vec"
+    stops = _assert_named_load_matches_zeroed_reference(path, text, vocab_limit, named)
+    if stops is None:
+        return
+    # Both loads stop at the same line: a malformed line put in the place of
+    # the last line the reference reads is read by both, and one put right
+    # after it by neither.
+    last = stops[0] if stops else len(io.StringIO(text, newline="").readlines()) + 1
+    for lineno in (last, last + 1) if stops else (last,):
+        _assert_named_load_matches_zeroed_reference(
+            path, _with_line(text, lineno, "x"), vocab_limit, named)
 
 
 # Values stay within +-1e150 because a table rejects a row whose squared norm
@@ -588,6 +659,8 @@ def test_header_count_mismatch_raises_when_read_to_end(tmp_path, count, rows):
         load_table(path)
     with pytest.raises(FormatError, match="header promises"):
         load_table(path, vocab_limit=5, required_words=["b"])
+    with pytest.raises(FormatError, match=f"header promises {count} rows"):
+        _load_named_a(path)
 
 
 def test_overlong_file_fails_at_first_extra_kept_row(tmp_path):
@@ -600,6 +673,25 @@ def test_overlong_file_fails_at_first_extra_kept_row(tmp_path):
     with pytest.raises(FormatError, match=message):
         load_table(path, vocab_limit=2, required_words=["c"])
     assert load_table(path, vocab_limit=2).words == ("a", "b")
+    # A named-row load fails there too: "c" is the third row it counts.
+    for vocab_limit, named in ((None, ["a"]), (2, ["c"]), (5, [])):
+        with pytest.raises(FormatError, match=message):
+            load_table(path, vocab_limit, named, required_only=True)
+    assert load_table(path, 2, ["b"], required_only=True).words == ("b",)
+
+
+def test_named_load_checks_values_of_kept_rows_only(tmp_path):
+    path = tmp_path / "t.vec"
+    path.write_text("4 2\na 1 0\nb zebra 1\nc inf 1\nd 0 1e200\n", encoding="utf-8")
+    table = load_table(path, vocab_limit=3, required_words=["a"], required_only=True)
+    assert table.words == ("a",)
+    with pytest.raises(FormatError, match=rf"{path}:3: non-numeric value$"):
+        load_table(path, vocab_limit=3, required_words=["a"])
+    with pytest.raises(FormatError, match="row whose norm overflows$"):
+        load_table(path, required_words=["a", "d"], required_only=True)
+    # A file holding none of the named words gives an empty table.
+    empty = load_table(path, required_words=["ghost"], required_only=True)
+    assert (len(empty), empty.dimension, empty.missing_required) == (0, 2, ("ghost",))
 
 
 @pytest.mark.parametrize("vocab_limit", [None, 2, 5])
@@ -726,11 +818,17 @@ def test_early_stop_by_vocab_limit_accepts_short_file(tmp_path):
         load_table(path, vocab_limit=2, required_words=["ghost"])
 
 
+def _load_named_a(path):
+    """A named-row load of the word "a" alone, with no vocab limit."""
+    return load_table(path, required_words=["a"], required_only=True)
+
+
 def _bad_byte_files():
     long_table = "2001 1\n" + "".join(f"w{i} 1\n" for i in range(2000)) + "w\xff 1\n"
     return {
         "table": (load_table, b"3 2\na 1 0\nb\xff 0 1\nc 1 1\n", 3),
         "table-crlf": (load_table, b"3 2\r\na 1 0\r\nb 0 1\r\nc\xfe 1 1\r\n", 4),
+        "table-named": (_load_named_a, b"3 2\na 1 0\nb 0 1\xff\nc 1 1\n", 3),
         "table-lone-cr": (load_table, b"3 2\ra 1 0\rb 0 1\rc 1\xc3\r", 4),
         "table-past-first-chunk": (load_table, long_table.encode("latin-1"), 2002),
         "table-truncated-sequence": (load_table, b"1 1\n\xc3", 2),
@@ -754,10 +852,11 @@ def test_invalid_utf8_is_a_format_error_naming_the_line(tmp_path, name):
 
 @pytest.mark.parametrize("reader, content", [
     (load_table, "2 2\na 1 0\nb 0 1\n"),
+    (_load_named_a, "2 2\na 1 0\nb 0 1\n"),
     (load_stack, "1 2\n1 0\n"),
     (load_similarity_pairs, "a\tb\t1\n"),
     (load_valence_norms, "a\t1\n"),
-], ids=["table", "stack", "pairs", "norms"])
+], ids=["table", "table-named", "stack", "pairs", "norms"])
 def test_leading_byte_order_mark_is_a_format_error(tmp_path, reader, content):
     path = tmp_path / "input.txt"
     path.write_text("\ufeff" + content, encoding="utf-8")
