@@ -117,6 +117,21 @@ def _resolve_set(table: EmbeddingTable, stimulus: StimulusSet, *, on_missing: st
     return words
 
 
+def _single_category(table: EmbeddingTable, units: np.ndarray, a_words: list[str],
+                     b_words: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of `units`: its cosines to `a_words` then `b_words`, their
+    mean-cosine difference, and that difference over the population std-dev
+    of the cosines, the single-category effect size."""
+    cos_a = units @ table.unit_rows(a_words).T
+    cos_b = units @ table.unit_rows(b_words).T
+    pooled = np.hstack([cos_a, cos_b])
+    spread = pooled.std(axis=1)
+    if np.any(spread == 0.0):
+        raise NumericError("zero variance of attribute cosines; effect size undefined")
+    difference = cos_a.mean(axis=1) - cos_b.mean(axis=1)
+    return pooled, difference, difference / spread
+
+
 def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: StimulusSet,
                     attributes_b: StimulusSet, *, on_missing: str = "error",
                     min_words: int = MIN_SET_WORDS) -> np.ndarray:
@@ -126,20 +141,12 @@ def sc_effect_sizes(table: EmbeddingTable, words: list[str], attributes_a: Stimu
     `weat`. Every word must be in the table with a non-zero vector; callers
     filter their words first. Per word: the mean-cosine difference to the
     two sets over the population std-dev of the cosines to the pooled
-    attributes.
+    attributes (`_single_category`).
     """
     a_words, b_words = (_resolve_set(table, attributes, on_missing=on_missing,
                                      min_words=min_words)
                         for attributes in (attributes_a, attributes_b))
-    a_mat, b_mat = table.unit_rows(a_words), table.unit_rows(b_words)
-    units = table.unit_rows(words)
-    cos_a = units @ a_mat.T
-    cos_b = units @ b_mat.T
-    pooled = np.hstack([cos_a, cos_b])
-    spread = pooled.std(axis=1)
-    if np.any(spread == 0.0):
-        raise NumericError("zero variance of attribute cosines; effect size undefined")
-    return (cos_a.mean(axis=1) - cos_b.mean(axis=1)) / spread
+    return _single_category(table, table.unit_rows(words), a_words, b_words)[2]
 
 
 def _index_dtype(n_items: int) -> np.dtype:
@@ -382,26 +389,17 @@ def sc_weat(word: str, attributes_a: StimulusSet, attributes_b: StimulusSet,
             trim_to_equal: bool = False) -> AssociationResult:
     """Single-category association of one word with two attribute sets.
 
-    Effect size: mean-cosine difference over the population std-dev of the
-    cosines to the pooled attributes. The p-value permutes the attribute
-    partition, the word fixed.
+    Effect size: the word's `sc_effect_sizes` against the attribute sets,
+    after `trim_to_equal` trims them. Test statistic: the mean-cosine
+    difference. The p-value permutes the attribute partition, the word fixed.
     """
-    unit_w = table.unit_rows([word])[0]
+    unit = table.unit_rows([word])
     a_words, b_words = (_resolve_set(table, attributes, on_missing=on_missing,
                                      min_words=min_words)
                         for attributes in (attributes_a, attributes_b))
     a_words, b_words = _equalize_targets(a_words, b_words, trim_to_equal, p_config.seed,
                                          min_words)
-    a_mat, b_mat = table.unit_rows(a_words), table.unit_rows(b_words)
-
-    cos_a = a_mat @ unit_w
-    cos_b = b_mat @ unit_w
-    pooled = np.concatenate([cos_a, cos_b])
-    spread = float(pooled.std())
-    if spread == 0.0:
-        raise NumericError("zero variance of attribute cosines")
-    effect = float((cos_a.mean() - cos_b.mean()) / spread)
-    statistic = float(cos_a.mean() - cos_b.mean())
-    p, method = permutation_p(pooled, p_config)
-    return AssociationResult(effect, statistic, p, method,
+    pooled, difference, effect = _single_category(table, unit, a_words, b_words)
+    p, method = permutation_p(pooled[0], p_config)
+    return AssociationResult(float(effect[0]), float(difference[0]), p, method,
                              (1, 1, len(a_words), len(b_words)))

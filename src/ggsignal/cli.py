@@ -34,7 +34,7 @@ from .classifier import TrainConfig
 from .disentangler import (DisentangleConfig, HyperplaneStack, run as run_disentangle,
                            save_stack)
 from .embeddings import EmbeddingTable, atomic_open, load_table, save_table
-from .errors import DataError, NumericError, PipelineError
+from .errors import NumericError, PipelineError
 from .evaluations import (GG_MIN_TARGETS, GgWeatSpec, build_gg_targets, gg_weat,
                           analogy_accuracy, pairwise_gap, principal_coordinates,
                           sc_gg_sweep, valnorm)
@@ -263,7 +263,6 @@ def _cmd_disentangle(args) -> dict:
     table = _table(args, "embeddings", list(lexicon.words), vocabulary=True)
     transformed, stack = run_disentangle(table, lexicon, config)
 
-    missing_lexicon = [w for w in lexicon.words if w not in table]
     results = {
         "iterations": len(stack),
         "accuracy_trace": list(stack.accuracy_trace),
@@ -273,7 +272,7 @@ def _cmd_disentangle(args) -> dict:
         "annihilated_words": transformed.zero_norm_words(),
         "lexicon_words": {"feminine": len(lexicon.feminine),
                           "masculine": len(lexicon.masculine)},
-        "missing_lexicon_words": len(missing_lexicon),
+        "missing_lexicon_words": len(table.missing_required),
         "table_words": len(table),
         "dimension": table.dimension,
     }
@@ -561,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (DataError, PipelineError, OSError) as exc:
+    except (PipelineError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -439,11 +439,14 @@ def load_table(path, vocab_limit: int | None = None,
     as fastText writes, and an LF or CRLF end. A regular line costs a search
     for its word and one lookup; only a kept row's values are decoded. Every
     other line (blank, with a lone CR, a run of spaces, a leading space or a
-    wrong field count) takes the per-line rule above, so tables, messages,
-    line numbers and the line where a load stops are those of reading the
-    file line by line in text mode. One exception: a byte that is not UTF-8 fails the load as soon as
-    the chunk holding it is read, past the line where the load would stop
-    and before a malformed line earlier in the chunk.
+    wrong field count) takes the per-line rule above. Rows of both kinds
+    meet one rule, `take`, which counts a row and says whether it is kept,
+    and `keep` queues a kept row's value text for parsing. So tables,
+    messages, line numbers and the line where a load stops are those of
+    reading the file line by line in text mode. One exception: a byte that
+    is not UTF-8 fails the load as soon as the chunk holding it is read,
+    past the line where the load would stop and before a malformed line
+    earlier in the chunk.
 
     Memory: the matrix is allocated once, for the fewest rows the header,
     the file's size and `vocab_limit` plus the required words allow, or the
@@ -463,6 +466,7 @@ def load_table(path, vocab_limit: int | None = None,
     pending = set(required)
     texts: list[str] = []      # value fields of kept rows not yet converted
     linenos: list[int] = []
+    done = False               # every row the load wants is in
 
     def convert() -> None:
         if texts:
@@ -470,28 +474,27 @@ def load_table(path, vocab_limit: int | None = None,
             texts.clear()
             linenos.clear()
 
-    def wanted(word: str) -> bool:
-        return word not in seen and (len(seen) < limit or word in required)
-
-    def counted(word: str, lineno: int) -> bool:
-        """Counts a wanted row; True once every row the load wants is in."""
+    def take(word: str, lineno: int) -> bool:
+        """Counts the row of `word` when the load wants it, setting `done` once
+        every wanted row is in; True when the row is kept."""
+        nonlocal done
+        if word in seen or len(seen) >= limit and word not in required:
+            return False
         if len(seen) == count:
             convert()  # an earlier bad value is reported first
             raise FormatError(f"{path}:{lineno}: header promises {count} rows, "
                               f"file holds at least {count + 1}")
         seen.add(word)
         pending.discard(word)
-        return len(seen) >= limit and not pending
+        done = len(seen) >= limit and not pending
+        return not required_only or word in required
 
-    def keep(word: str, text: str, lineno: int) -> bool:
-        """Counts and keeps a wanted row; True as `counted`."""
-        done = counted(word, lineno)
+    def keep(word: str, text: str, lineno: int) -> None:
         words.append(word)
         texts.append(text)
         linenos.append(lineno)
         if len(texts) == _BLOCK_ROWS:
             convert()
-        return done
 
     with open(path, "rb") as handle:
         reader = _LineReader(handle, path)
@@ -518,7 +521,6 @@ def load_table(path, vocab_limit: int | None = None,
         rows = 0
         lineno = 1
         pos = len(header)
-        done = False
         while end and not done:
             for stop, regular in zip(*_regular_lines(buf, pos, end, dim)):
                 if regular:
@@ -526,13 +528,10 @@ def load_table(path, vocab_limit: int | None = None,
                     rows += 1
                     space = buf.find(b" ", pos, stop)
                     word = buf[pos:space].decode()
-                    if wanted(word):
-                        if required_only and word not in required:
-                            done = counted(word, lineno)
-                        else:
-                            last = stop - (buf[stop - 1] == 13)  # the CR of a CRLF
-                            last -= buf[last - 1] == 32  # fastText ends lines with a space
-                            done = keep(word, buf[space + 1:last].decode(), lineno)
+                    if take(word, lineno):
+                        last = stop - (buf[stop - 1] == 13)  # the CR of a CRLF
+                        last -= buf[last - 1] == 32  # fastText ends lines with a space
+                        keep(word, buf[space + 1:last].decode(), lineno)
                 else:
                     # Blank, irregular and malformed lines take the per-line
                     # rule; lone CRs split the text before an LF into lines.
@@ -547,12 +546,8 @@ def load_table(path, vocab_limit: int | None = None,
                             convert()  # an earlier bad value is reported first
                             raise FormatError(
                                 f"{path}:{lineno}: expected {dim + 1} fields, got {fields}")
-                        if not wanted(word):
-                            continue
-                        if required_only and word not in required:
-                            done = counted(word, lineno)
-                        else:
-                            done = keep(word, text, lineno)
+                        if take(word, lineno):
+                            keep(word, text, lineno)
                         if done:
                             break
                 if done:

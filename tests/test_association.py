@@ -721,3 +721,42 @@ def test_bulk_sc_effects_match_single_route(fixture_table, fixture_stimuli):
     for word, expected in zip(targets, bulk):
         single = sc_weat(word, a, b, fixture_table, min_words=5)
         assert single.effect_size == pytest.approx(float(expected), abs=1e-12)
+
+
+def _one_word_route(word, a_words, b_words, table, p_config):
+    """sc_weat's statistic and p-value by an independent route: the word's
+    cosines as 1-d matrix-vector products."""
+    unit = table.unit_rows([word])[0]
+    cos_a = table.unit_rows(a_words) @ unit
+    cos_b = table.unit_rows(b_words) @ unit
+    p, _ = permutation_p(np.concatenate([cos_a, cos_b]), p_config)
+    return float(cos_a.mean() - cos_b.mean()), p
+
+
+@pytest.mark.parametrize("set_size, kind", [(8, "exact"), (12, "monte-carlo")])
+def test_sc_weat_shares_the_single_category_statistic(set_size, kind):
+    rng = np.random.default_rng(set_size)
+    words = [f"w{i}" for i in range(300)]
+    matrix = rng.normal(size=(len(words), 50))
+    matrix[-1] = 0.0
+    table = EmbeddingTable(words, matrix)
+    a_words, b_words = words[:set_size], words[set_size:2 * set_size]
+    a, b = StimulusSet("a", tuple(a_words)), StimulusSet("b", tuple(b_words))
+    config = PermutationConfig(samples=2000, seed=5)
+    for word in words[2 * set_size:2 * set_size + 100]:
+        result = sc_weat(word, a, b, table, config)
+        assert result.p_method.kind == kind
+        # Bitwise: sweep and valnorm compute this per-word value in batches.
+        assert result.effect_size == float(sc_effect_sizes(table, [word], a, b)[0])
+        assert (result.statistic, result.p_value) == _one_word_route(
+            word, a_words, b_words, table, config)
+    # An unusable word is reported before any problem with the sets.
+    small, absent = StimulusSet("small", ("w0", "w1")), StimulusSet("absent", ("ghost",))
+    with pytest.raises(MissingWordsError, match="nothing"):
+        sc_weat("nothing", small, absent, table)
+    with pytest.raises(ZeroVectorError, match="w299"):
+        sc_weat("w299", small, absent, table)
+    with pytest.raises(UndersizedSetError, match="small"):
+        sc_weat("w100", small, b, table)
+    with pytest.raises(DataError, match="same size"):
+        sc_weat("w100", a, StimulusSet("b", tuple(words[50:50 + set_size + 1])), table)

@@ -91,10 +91,15 @@ def test_disentangle_accuracy_drops_on_output_table(env):
 
 def test_disentangle_zero_iterations_round_trips_table(env, tmp_path):
     out = tmp_path / "untouched.vec"
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text(env["lexicon"].read_text(encoding="utf-8") + "ghostf\tF\nghostm\tM\n",
+                       encoding="utf-8")
+    report = tmp_path / "r.json"
     assert main(["disentangle", "--embeddings", str(env["table"]),
-                 "--lexicon", str(env["lexicon"]), "--per-class", "40",
+                 "--lexicon", str(lexicon), "--per-class", "40",
                  "--iterations", "0", "--seed", "1",
-                 "--out-embeddings", str(out)]) == 0
+                 "--out-embeddings", str(out), "--report", str(report)]) == 0
+    assert read(report)["results"]["missing_lexicon_words"] == 2
     original = load_table(env["table"])
     resaved = tmp_path / "resaved.vec"
     save_table(original, resaved)
@@ -155,11 +160,18 @@ def test_weat_undersized_set_is_a_data_error(env, tmp_path, capsys):
     assert not (tmp_path / "never.json").exists()
 
 
-def test_weat_usage_error_exit_code(env):
+def test_weat_usage_error_exit_code(env, capsys):
     assert main(["weat", "--targets-x", "syn.targets.f"]) == 1
     assert main(["weat", "--stimuli", str(env["stimuli"]),
                  "--targets-x", "syn.targets.f", "--targets-y", "syn.targets.m",
                  "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m"]) == 1
+    # Valid set keys, so the stimulus check passes and the condition check runs.
+    capsys.readouterr()
+    assert main(["weat", "--stimuli", str(env["stimuli"]),
+                 "--targets-x", "syn.targets.f", "--targets-y", "syn.targets.m",
+                 "--attributes-a", "syn.attrs.f", "--attributes-b", "syn.attrs.m",
+                 "--before", str(env["table"])]) == 1
+    assert "usage error: --before and --after must be given together" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("extra, message", [

@@ -88,6 +88,15 @@ def test_build_gg_targets_deduplicates():
         assert LEXICON.gender_of(w) == "M"
 
 
+def test_build_gg_targets_label_disagreeing_with_lexicon_wins(caplog):
+    # "luna" is feminine in the lexicon; the pair labels it masculine.
+    pairs = OPPOSITE_PAIRS + [pair("luna", "casa", 9.9, "M", "F")]
+    with caplog.at_level("WARNING", logger="ggsignal.evaluations"):
+        fem, masc = build_gg_targets(pairs, LEXICON, min_score=6.0)
+    assert fem.words[0] == "casa" and masc.words[0] == "luna"
+    assert "pair label M for 'luna' disagrees with lexicon F; using label" in caplog.text
+
+
 def test_build_gg_targets_is_deterministic():
     first = build_gg_targets(OPPOSITE_PAIRS, LEXICON, 6.0)
     second = build_gg_targets(list(reversed(OPPOSITE_PAIRS)), LEXICON, 6.0)
@@ -493,6 +502,11 @@ def test_principal_coordinates_reject_degenerate_inputs():
         principal_coordinates(np.zeros((2, 3)))
     with pytest.raises(NumericError):
         principal_coordinates(np.ones((5, 3)) * 2.0)
+    # One column has one component: the second coordinate is zero, not an error.
+    coords = principal_coordinates(np.arange(5.0)[:, None])
+    assert coords.shape == (5, 2)
+    assert np.all(coords[:, 1] == 0.0)
+    assert np.allclose(np.abs(coords[:, 0]), [2, 1, 0, 1, 2])
 
 
 def test_principal_coordinates_deterministic_sign():
